@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -79,6 +78,8 @@ class BatchedSim {
     }
     bit_vals_.assign(bit_words, 0);
     wide_vals_.assign(wide_words, 0);
+    ones_.assign(words_, ~0ull);
+    zeros_.assign(words_, 0);
 
     // One image per (memory, lane); creation and init-if-fresh follow the
     // single-lane engines so a pre-primed pool is that lane's stimulus.
@@ -126,13 +127,16 @@ class BatchedSim {
         RegOp reg;
         reg.q = index_of(unit.port("q"));
         reg.d = index_of(unit.port("d"));
-        reg.en = unit.has_port("en") ? index_of(unit.port("en")) : kNone;
-        reg.rst = unit.has_port("rst") ? index_of(unit.port("rst")) : kNone;
-        reg.width = slots_[reg.q].width;
-        reg.reset = unit.reset_value & Bits::mask(reg.width);
-        reg.word = slots_[reg.q].packed && slots_[reg.d].packed &&
-                   (reg.en == kNone || slots_[reg.en].packed) &&
-                   (reg.rst == kNone || slots_[reg.rst].packed);
+        reg.reset = unit.reset_value & Bits::mask(slots_[reg.q].width);
+        // ir::validate fixes `en` and `rst` at one bit, so both are
+        // packed, and `d` and `q` at the register's width.
+        reg.word = slots_[reg.q].packed;
+        reg.en_words = unit.has_port("en")
+                           ? word_ptr(index_of(unit.port("en")))
+                           : ones_.data();
+        reg.rst_words = unit.has_port("rst")
+                            ? word_ptr(index_of(unit.port("rst")))
+                            : zeros_.data();
         registers_.push_back(std::move(reg));
       } else if (unit.kind == ir::UnitKind::kBinOp && unit.latency > 0) {
         PipeOp pipe;
@@ -141,8 +145,8 @@ class BatchedSim {
         pipe.b = index_of(unit.port("b"));
         pipe.binop = unit.binop;
         pipe.width = slots_[pipe.out].width;
-        pipe.stages.assign(unit.latency - 1,
-                           std::vector<std::uint64_t>(lanes_, 0));
+        pipe.latency = unit.latency;
+        pipe.ring.assign(unit.latency * lanes_, 0);
         pipelined_.push_back(std::move(pipe));
       } else if (unit.kind == ir::UnitKind::kMemPort &&
                  unit.mem_mode != ir::MemMode::kRead) {
@@ -156,45 +160,23 @@ class BatchedSim {
       }
     }
 
-    // Scratch for the two-phase edge: every register's sampled next value
-    // (one packed word run for word registers, one slot per lane
-    // otherwise), laid out once so clock_edge never allocates for them.
+    // Scratch for the two-phase edge, laid out once so clock_edge never
+    // allocates: every register's sampled next value (one packed word run
+    // for word registers, one slot per lane otherwise) and, for the
+    // others, the packed mask of lanes that load at this edge.
     std::size_t scratch = 0;
     for (const RegOp& reg : registers_) {
       reg_scratch_offset_.push_back(scratch);
       scratch += reg.word ? words_ : lanes_;
     }
     reg_scratch_.assign(scratch, 0);
+    reg_load_.assign(registers_.size() * words_, 0);
+    loading_.reserve(registers_.size());
+    mem_writes_.reserve(writes_.size() * lanes_);
 
-    for (const std::string& control : datapath.control_wires) {
-      control_index_.push_back(index_of(control));
-    }
-    for (const ir::State& state : config.fsm.states) {
-      CompiledState compiled;
-      for (const std::string& control : datapath.control_wires) {
-        std::uint64_t value = 0;
-        for (const ir::ControlAssign& assign : state.controls) {
-          if (assign.wire == control) {
-            value = assign.value;
-            break;
-          }
-        }
-        compiled.controls.push_back(
-            value & Bits::mask(slots_[index_of(control)].width));
-      }
-      for (const ir::Transition& transition : state.transitions) {
-        CompiledTransition ct;
-        for (const ir::GuardLiteral& literal : transition.guard.literals) {
-          ct.literals.emplace_back(index_of(literal.status),
-                                   literal.expected);
-        }
-        ct.target = config.fsm.state_index(transition.target);
-        compiled.transitions.push_back(std::move(ct));
-      }
-      states_.push_back(std::move(compiled));
-    }
+    fsm_ = compile_fsm(config, wire_index_);
     done_index_ = index_of(config.fsm.done_wire);
-    state_.assign(lanes_, config.fsm.state_index(config.fsm.initial));
+    state_.assign(lanes_, fsm_.initial);
     visits_.assign(lanes_,
                    std::vector<std::uint64_t>(config.fsm.states.size(), 0));
     taken_.resize(lanes_);
@@ -239,17 +221,17 @@ class BatchedSim {
     }
     for (std::size_t lane = 0; lane < lanes_; ++lane) {
       ++visits_[lane][state_[lane]];
+      for (const auto& [wire, value] : fsm_.power_up) {
+        commit(wire, lane, value);
+      }
     }
-    drive_controls();
     sweep();
     for (;;) {
       // Done is checked before the budget, so a lane whose done rises in
       // the same cycle the budget runs out still completes (the
       // single-lane engines break the tie the same way).
-      for_each_active([&](std::size_t lane) {
-        if (get(done_index_, lane) != 0) {
-          finish(results[lane], lane, sim::Kernel::StopReason::kDoneNet);
-        }
+      for_each_set(word_ptr(done_index_), [&](std::size_t lane) {
+        finish(results[lane], lane, sim::Kernel::StopReason::kDoneNet);
       });
       if (active_count_ == 0) {
         break;
@@ -262,7 +244,6 @@ class BatchedSim {
         break;
       }
       clock_edge();
-      drive_controls();
       sweep();
       ++cycle_;
     }
@@ -304,11 +285,13 @@ class BatchedSim {
   struct RegOp {
     std::size_t q;
     std::size_t d;
-    std::size_t en;
-    std::size_t rst;
-    std::uint32_t width;
     std::uint64_t reset;
+    /// One bit wide: samples and commits word-parallel.
     bool word;
+    /// The packed lane words of `en` and `rst`; a register without one
+    /// reads constant all-ones / all-zero words instead.
+    const std::uint64_t* en_words;
+    const std::uint64_t* rst_words;
   };
   struct PipeOp {
     std::size_t out;
@@ -316,7 +299,12 @@ class BatchedSim {
     std::size_t b;
     ops::BinOp binop;
     std::uint32_t width;
-    std::deque<std::vector<std::uint64_t>> stages;
+    /// `latency` lane rows: each edge writes the fresh products into row
+    /// `head`, advances it, and commits the row written `latency - 1`
+    /// edges ago, now at `head`.
+    std::size_t latency;
+    std::vector<std::uint64_t> ring;
+    std::size_t head = 0;
   };
   struct WriteOp {
     std::size_t addr;
@@ -325,13 +313,11 @@ class BatchedSim {
     std::size_t mem;
     std::string name;
   };
-  struct CompiledTransition {
-    std::vector<std::pair<std::size_t, bool>> literals;
-    std::size_t target;
-  };
-  struct CompiledState {
-    std::vector<std::uint64_t> controls;
-    std::vector<CompiledTransition> transitions;
+  struct MemWrite {
+    std::size_t mem;
+    std::size_t lane;
+    std::uint64_t address;
+    std::uint64_t data;
   };
 
   std::size_t index_of(const std::string& wire) const {
@@ -447,16 +433,24 @@ class BatchedSim {
     }
   }
 
+  /// Calls fn(lane) for every active lane whose bit is set in the packed
+  /// lane words `mask`.  Each word is read before its lanes are visited,
+  /// so fn may retire lanes.
   template <typename Fn>
-  void for_each_active(Fn&& fn) {
+  void for_each_set(const std::uint64_t* mask, Fn&& fn) {
     for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t word = active_[w];
+      std::uint64_t word = mask[w] & active_[w];
       while (word != 0) {
         std::size_t bit = static_cast<std::size_t>(std::countr_zero(word));
         word &= word - 1;
         fn(w * 64 + bit);
       }
     }
+  }
+
+  template <typename Fn>
+  void for_each_active(Fn&& fn) {
+    for_each_set(active_.data(), fn);
   }
 
   std::uint64_t word_mask(std::size_t w) const {
@@ -752,17 +746,6 @@ class BatchedSim {
     }
   }
 
-  /// Moore outputs of each lane's current state; lanes differ once their
-  /// FSMs diverge, so controls drive per lane.
-  void drive_controls() {
-    for_each_active([&](std::size_t lane) {
-      const CompiledState& state = states_[state_[lane]];
-      for (std::size_t c = 0; c < control_index_.size(); ++c) {
-        commit(control_index_[c], lane, state.controls[c]);
-      }
-    });
-  }
-
   void eval_lane(const CombOp& op, std::size_t lane) {
     switch (op.kind) {
       case ir::UnitKind::kBinOp: {
@@ -893,61 +876,65 @@ class BatchedSim {
   /// (out-of-range writes throw here, before any commit), step each
   /// lane's FSM on pre-edge statuses, then commit.  Only active lanes
   /// commit -- a finished lane's registers, memories and FSM freeze.
-  void clock_edge(std::vector<std::vector<std::uint64_t>>& pipe_commits) {
+  ///
+  /// Work is proportional to what changes: a multi-bit register samples
+  /// and commits only the lanes in its word-parallel load mask, a write
+  /// port visits only the lanes with `we` high, and a lane's transition
+  /// commits only its control delta.  ir::validate fixes `we` at one
+  /// bit, so it is always packed, and a register wider than one bit has
+  /// unpacked `d` and `q`.
+  void clock_edge() {
+    loading_.clear();
     for (std::size_t r = 0; r < registers_.size(); ++r) {
       const RegOp& reg = registers_[r];
       std::uint64_t* next = reg_scratch_.data() + reg_scratch_offset_[r];
+      const std::uint64_t* en = reg.en_words;
+      const std::uint64_t* rst = reg.rst_words;
+      std::uint64_t any = 0;
       if (reg.word) {
         const std::uint64_t* q = word_ptr(reg.q);
         const std::uint64_t* d = word_ptr(reg.d);
         std::uint64_t reset_fill = (reg.reset & 1u) != 0 ? ~0ull : 0;
         for (std::size_t w = 0; w < words_; ++w) {
-          std::uint64_t en =
-              reg.en == kNone ? ~0ull : word_ptr(reg.en)[w];
-          std::uint64_t rst = reg.rst == kNone ? 0 : word_ptr(reg.rst)[w];
-          std::uint64_t loaded = (en & d[w]) | (~en & q[w]);
+          std::uint64_t loaded = (en[w] & d[w]) | (~en[w] & q[w]);
           std::uint64_t value =
-              (rst & reset_fill & word_mask(w)) | (~rst & loaded);
+              (rst[w] & reset_fill & word_mask(w)) | (~rst[w] & loaded);
           next[w] = (active_[w] & value) | (~active_[w] & q[w]);
+          any |= next[w] ^ q[w];
         }
       } else {
-        for_each_active([&](std::size_t lane) {
-          std::uint64_t value;
-          if (reg.rst != kNone && get(reg.rst, lane) != 0) {
-            value = reg.reset;
-          } else if (reg.en != kNone && get(reg.en, lane) == 0) {
-            value = get(reg.q, lane);
-          } else {
-            value = get(reg.d, lane);
+        const std::uint64_t* d = wide_ptr(reg.d);
+        std::uint64_t* load = reg_load_.data() + r * words_;
+        for (std::size_t w = 0; w < words_; ++w) {
+          std::uint64_t rst_w = rst[w] & active_[w];
+          std::uint64_t take_d = en[w] & active_[w] & ~rst_w;
+          load[w] = rst_w | take_d;
+          any |= load[w];
+          for (; rst_w != 0; rst_w &= rst_w - 1) {
+            next[w * 64 + std::countr_zero(rst_w)] = reg.reset;
           }
-          next[lane] = value;
-        });
+          for (; take_d != 0; take_d &= take_d - 1) {
+            std::size_t lane = w * 64 + std::countr_zero(take_d);
+            next[lane] = d[lane];
+          }
+        }
+      }
+      if (any != 0) {
+        loading_.push_back(r);
       }
     }
-    pipe_commits.clear();
     for (PipeOp& pipe : pipelined_) {
-      std::vector<std::uint64_t> entry(lanes_, 0);
+      std::uint64_t* entry = pipe.ring.data() + pipe.head * lanes_;
       for_each_active([&](std::size_t lane) {
         Bits a(slots_[pipe.a].width, get(pipe.a, lane));
         Bits b(slots_[pipe.b].width, get(pipe.b, lane));
         entry[lane] = ops::eval_binop(pipe.binop, a, b, pipe.width).u();
       });
-      pipe.stages.push_back(std::move(entry));
-      pipe_commits.push_back(std::move(pipe.stages.front()));
-      pipe.stages.pop_front();
+      pipe.head = (pipe.head + 1) % pipe.latency;
     }
-    struct MemWrite {
-      std::size_t mem;
-      std::size_t lane;
-      std::uint64_t address;
-      std::uint64_t data;
-    };
-    std::vector<MemWrite> mem_writes;
+    mem_writes_.clear();
     for (const WriteOp& write : writes_) {
-      for_each_active([&](std::size_t lane) {
-        if (get(write.we, lane) == 0) {
-          return;
-        }
+      for_each_set(word_ptr(write.we), [&](std::size_t lane) {
         std::uint64_t address = get(write.addr, lane);
         mem::MemoryImage* image = mem_images_[write.mem][lane];
         if (address >= image->depth()) {
@@ -957,14 +944,16 @@ class BatchedSim {
               std::to_string(address) + " beyond depth " +
               std::to_string(image->depth()));
         }
-        mem_writes.push_back({write.mem, lane, address,
-                              get(write.din, lane)});
+        mem_writes_.push_back({write.mem, lane, address,
+                               get(write.din, lane)});
       });
     }
+    // Every sample above is taken, so a lane's control delta can commit
+    // as soon as its transition fires.
     for_each_active([&](std::size_t lane) {
-      const CompiledState& current = states_[state_[lane]];
+      const CompiledFsm::State& current = fsm_.states[state_[lane]];
       for (std::size_t t = 0; t < current.transitions.size(); ++t) {
-        const CompiledTransition& transition = current.transitions[t];
+        const CompiledFsm::Transition& transition = current.transitions[t];
         bool taken = true;
         for (const auto& [status, expected] : transition.literals) {
           if ((get(status, lane) == 0) == expected) {
@@ -976,35 +965,42 @@ class BatchedSim {
           ++taken_[lane][state_[lane]][t];
           state_[lane] = transition.target;
           ++visits_[lane][state_[lane]];
+          for (const auto& [wire, value] : transition.delta) {
+            commit(wire, lane, value);
+          }
           break;
         }
       }
     });
-    for (std::size_t r = 0; r < registers_.size(); ++r) {
+    for (std::size_t r : loading_) {
       const RegOp& reg = registers_[r];
       const std::uint64_t* next = reg_scratch_.data() + reg_scratch_offset_[r];
       if (reg.word) {
         commit_packed(reg.q, next);
-      } else {
-        for_each_active(
-            [&](std::size_t lane) { commit(reg.q, lane, next[lane]); });
+        continue;
       }
-    }
-    for (std::size_t p = 0; p < pipelined_.size(); ++p) {
-      const std::vector<std::uint64_t>& front = pipe_commits[p];
-      for_each_active([&](std::size_t lane) {
-        commit(pipelined_[p].out, lane, front[lane]);
+      std::uint64_t* q = wide_ptr(reg.q);
+      std::size_t trace = trace_slot_.empty() ? kNone : trace_slot_[reg.q];
+      for_each_set(reg_load_.data() + r * words_, [&](std::size_t lane) {
+        if (q[lane] == next[lane]) {
+          return;
+        }
+        q[lane] = next[lane];
+        ++events_[lane];
+        if (trace != kNone) {
+          lane_traces_[lane][trace].push_back(next[lane]);
+        }
       });
     }
-    for (const MemWrite& write : mem_writes) {
+    for (const PipeOp& pipe : pipelined_) {
+      const std::uint64_t* front = pipe.ring.data() + pipe.head * lanes_;
+      for_each_active(
+          [&](std::size_t lane) { commit(pipe.out, lane, front[lane]); });
+    }
+    for (const MemWrite& write : mem_writes_) {
       mem_images_[write.mem][write.lane]->write(write.address, write.data);
       ++events_[write.lane];
     }
-  }
-
-  void clock_edge() {
-    std::vector<std::vector<std::uint64_t>> pipe_commits;
-    clock_edge(pipe_commits);
   }
 
   /// Snapshots one finished lane.  All lanes share the cycle counter and
@@ -1041,6 +1037,8 @@ class BatchedSim {
   std::vector<Slot> slots_;
   std::vector<std::uint64_t> bit_vals_;
   std::vector<std::uint64_t> wide_vals_;
+  std::vector<std::uint64_t> ones_;
+  std::vector<std::uint64_t> zeros_;
   std::map<std::string, std::size_t> image_index_;
   std::vector<std::vector<mem::MemoryImage*>> mem_images_;
   std::vector<CombOp> comb_;
@@ -1049,8 +1047,11 @@ class BatchedSim {
   std::vector<WriteOp> writes_;
   std::vector<std::uint64_t> reg_scratch_;
   std::vector<std::size_t> reg_scratch_offset_;
-  std::vector<std::size_t> control_index_;
-  std::vector<CompiledState> states_;
+  std::vector<std::uint64_t> reg_load_;
+  /// The registers sampled at this edge with something to commit.
+  std::vector<std::size_t> loading_;
+  std::vector<MemWrite> mem_writes_;
+  CompiledFsm fsm_;
   std::size_t depth_ = 0;
   std::size_t done_index_;
   std::vector<std::size_t> state_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <map>
 #include <utility>
 
@@ -87,6 +86,57 @@ LevelizedSchedule build_levelized_schedule(const ir::Datapath& datapath) {
     throw util::SimError(message);
   }
   return schedule;
+}
+
+CompiledFsm compile_fsm(const ir::Configuration& config,
+                        const std::map<std::string, std::size_t>& wire_index) {
+  const std::vector<std::string>& control_wires =
+      config.datapath.control_wires;
+  // A wire listed twice among the controls takes the same value at both
+  // positions.
+  std::map<std::string, std::vector<std::size_t>> positions;
+  for (std::size_t c = 0; c < control_wires.size(); ++c) {
+    positions[control_wires[c]].push_back(c);
+  }
+  // Each state's full control vector; unassigned wires are zero.
+  std::vector<std::vector<std::uint64_t>> vectors;
+  for (const ir::State& state : config.fsm.states) {
+    std::vector<std::uint64_t> vector(control_wires.size(), 0);
+    for (const ir::ControlAssign& assign : state.controls) {
+      for (std::size_t c : positions.at(assign.wire)) {
+        vector[c] = assign.value;
+      }
+    }
+    vectors.push_back(std::move(vector));
+  }
+
+  CompiledFsm fsm;
+  for (std::size_t s = 0; s < config.fsm.states.size(); ++s) {
+    CompiledFsm::State compiled;
+    for (const ir::Transition& transition :
+         config.fsm.states[s].transitions) {
+      CompiledFsm::Transition ct;
+      for (const ir::GuardLiteral& literal : transition.guard.literals) {
+        ct.literals.emplace_back(wire_index.at(literal.status),
+                                 literal.expected);
+      }
+      ct.target = config.fsm.state_index(transition.target);
+      for (std::size_t c = 0; c < control_wires.size(); ++c) {
+        if (vectors[ct.target][c] != vectors[s][c]) {
+          ct.delta.emplace_back(wire_index.at(control_wires[c]),
+                                vectors[ct.target][c]);
+        }
+      }
+      compiled.transitions.push_back(std::move(ct));
+    }
+    fsm.states.push_back(std::move(compiled));
+  }
+  fsm.initial = config.fsm.state_index(config.fsm.initial);
+  for (std::size_t c = 0; c < control_wires.size(); ++c) {
+    fsm.power_up.emplace_back(wire_index.at(control_wires[c]),
+                              vectors[fsm.initial][c]);
+  }
+  return fsm;
 }
 
 namespace {
@@ -183,7 +233,7 @@ class LevelizedSim {
         pipe.b = index_of(unit.port("b"));
         pipe.binop = unit.binop;
         pipe.width = values_[pipe.out].width();
-        pipe.stages.assign(unit.latency - 1, Bits(pipe.width, 0));
+        pipe.ring.assign(unit.latency, Bits(pipe.width, 0));
         pipelined_.push_back(std::move(pipe));
       } else if (unit.kind == ir::UnitKind::kMemPort &&
                  unit.mem_mode != ir::MemMode::kRead) {
@@ -197,36 +247,12 @@ class LevelizedSim {
       }
     }
 
-    // The FSM, compiled to full control vectors (unassigned wires are
-    // zero) and index-resolved guards.
-    for (const std::string& control : datapath.control_wires) {
-      control_index_.push_back(index_of(control));
-    }
-    for (const ir::State& state : config.fsm.states) {
-      CompiledState compiled;
-      for (const std::string& control : datapath.control_wires) {
-        std::uint64_t value = 0;
-        for (const ir::ControlAssign& assign : state.controls) {
-          if (assign.wire == control) {
-            value = assign.value;
-            break;
-          }
-        }
-        compiled.controls.emplace_back(
-            values_[index_of(control)].width(), value);
-      }
-      for (const ir::Transition& transition : state.transitions) {
-        CompiledTransition ct;
-        for (const ir::GuardLiteral& literal : transition.guard.literals) {
-          ct.literals.emplace_back(index_of(literal.status),
-                                   literal.expected);
-        }
-        ct.target = config.fsm.state_index(transition.target);
-        compiled.transitions.push_back(std::move(ct));
-      }
-      states_.push_back(std::move(compiled));
-    }
-    state_ = config.fsm.state_index(config.fsm.initial);
+    // Edge scratch, sized once so clock_edge never allocates.
+    updates_.reserve(registers_.size() + pipelined_.size());
+    mem_writes_.reserve(writes_.size());
+
+    fsm_ = compile_fsm(config, wire_index_);
+    state_ = fsm_.initial;
     done_index_ = index_of(config.fsm.done_wire);
     visits_.assign(config.fsm.states.size(), 0);
     taken_.resize(config.fsm.states.size());
@@ -243,6 +269,7 @@ class LevelizedSim {
         trace_slot_[index_of(wire)] = trace_names_.size();
         trace_names_.push_back(wire);
       }
+      traces_.resize(trace_names_.size());
     }
   }
 
@@ -251,14 +278,11 @@ class LevelizedSim {
   sim::EnginePartition run(const std::string& node) {
     sim::EnginePartition result;
     result.node = node;
-    for (const std::string& name : trace_names_) {
-      result.traces[name];  // every traced wire reports, even if idle
-    }
     for (const RegOp& reg : registers_) {
-      set_traced(reg.q, reg.reset, result);
+      set_traced(reg.q, reg.reset, result.stats);
     }
     visits_[state_] += 1;
-    drive_controls(result);
+    drive(fsm_.power_up, result.stats);
     sweep(result.stats);
     result.reason = sim::Kernel::StopReason::kMaxTime;
     while (values_[done_index_].is_zero()) {
@@ -267,8 +291,7 @@ class LevelizedSim {
         finish(result);
         return result;
       }
-      clock_edge(result);
-      drive_controls(result);
+      clock_edge(result.stats);
       sweep(result.stats);
       ++result.cycles;
     }
@@ -304,7 +327,11 @@ class LevelizedSim {
     std::size_t b;
     ops::BinOp binop;
     std::uint32_t width;
-    std::deque<Bits> stages;
+    /// One slot per latency cycle: each edge writes the fresh product at
+    /// `head`, advances it, and commits the product written `latency - 1`
+    /// edges ago, now at `head`.
+    std::vector<Bits> ring;
+    std::size_t head = 0;
   };
   struct WriteOp {
     std::size_t addr;
@@ -313,13 +340,14 @@ class LevelizedSim {
     mem::MemoryImage* image;
     std::string name;
   };
-  struct CompiledTransition {
-    std::vector<std::pair<std::size_t, bool>> literals;
-    std::size_t target;
+  struct Update {
+    std::size_t index;
+    Bits value;
   };
-  struct CompiledState {
-    std::vector<Bits> controls;
-    std::vector<CompiledTransition> transitions;
+  struct MemWrite {
+    mem::MemoryImage* image;
+    std::uint64_t address;
+    std::uint64_t data;
   };
 
   std::size_t index_of(const std::string& wire) const {
@@ -327,21 +355,22 @@ class LevelizedSim {
   }
 
   void set_traced(std::size_t index, const Bits& next,
-                  sim::EnginePartition& result) {
+                  sim::KernelStats& stats) {
     if (values_[index] == next) {
       return;
     }
     values_[index] = next;
-    ++result.stats.events;
+    ++stats.events;
     if (!trace_slot_.empty() && trace_slot_[index] != kNone) {
-      result.traces[trace_names_[trace_slot_[index]]].push_back(next.u());
+      traces_[trace_slot_[index]].push_back(next.u());
     }
   }
 
-  void drive_controls(sim::EnginePartition& result) {
-    const CompiledState& state = states_[state_];
-    for (std::size_t c = 0; c < control_index_.size(); ++c) {
-      set_traced(control_index_[c], state.controls[c], result);
+  /// Control writes from the compiled FSM (see CompiledFsm).
+  void drive(const std::vector<CompiledFsm::Drive>& drives,
+             sim::KernelStats& stats) {
+    for (const auto& [index, value] : drives) {
+      set_traced(index, Bits(values_[index].width(), value), stats);
     }
   }
 
@@ -387,38 +416,30 @@ class LevelizedSim {
   /// Two-phase edge identical in observable order to the reference
   /// interpreter: sample against settled pre-edge values, then commit
   /// registers, pipeline stages, the FSM transition and memory writes.
-  void clock_edge(sim::EnginePartition& result) {
-    struct Update {
-      std::size_t index;
-      Bits value;
-    };
-    std::vector<Update> updates;
+  /// The transition commits only its control delta.
+  void clock_edge(sim::KernelStats& stats) {
+    updates_.clear();
     for (const RegOp& reg : registers_) {
-      ++result.stats.evaluations;
+      ++stats.evaluations;
       if (reg.rst != kNone && !values_[reg.rst].is_zero()) {
-        updates.push_back({reg.q, reg.reset});
+        updates_.push_back({reg.q, reg.reset});
         continue;
       }
       if (reg.en != kNone && values_[reg.en].is_zero()) {
         continue;
       }
-      updates.push_back({reg.q, values_[reg.d]});
+      updates_.push_back({reg.q, values_[reg.d]});
     }
     for (PipeOp& pipe : pipelined_) {
-      ++result.stats.evaluations;
-      pipe.stages.push_back(ops::eval_binop(pipe.binop, values_[pipe.a],
-                                            values_[pipe.b], pipe.width));
-      updates.push_back({pipe.out, pipe.stages.front()});
-      pipe.stages.pop_front();
+      ++stats.evaluations;
+      pipe.ring[pipe.head] = ops::eval_binop(pipe.binop, values_[pipe.a],
+                                             values_[pipe.b], pipe.width);
+      pipe.head = (pipe.head + 1) % pipe.ring.size();
+      updates_.push_back({pipe.out, pipe.ring[pipe.head]});
     }
-    struct MemWrite {
-      mem::MemoryImage* image;
-      std::uint64_t address;
-      std::uint64_t data;
-    };
-    std::vector<MemWrite> mem_writes;
+    mem_writes_.clear();
     for (const WriteOp& write : writes_) {
-      ++result.stats.evaluations;
+      ++stats.evaluations;
       if (values_[write.we].is_zero()) {
         continue;
       }
@@ -429,11 +450,12 @@ class LevelizedSim {
                              std::to_string(address) + " beyond depth " +
                              std::to_string(write.image->depth()));
       }
-      mem_writes.push_back({write.image, address, values_[write.din].u()});
+      mem_writes_.push_back({write.image, address, values_[write.din].u()});
     }
-    const CompiledState& current = states_[state_];
+    const CompiledFsm::Transition* fired = nullptr;
+    const CompiledFsm::State& current = fsm_.states[state_];
     for (std::size_t t = 0; t < current.transitions.size(); ++t) {
-      const CompiledTransition& transition = current.transitions[t];
+      const CompiledFsm::Transition& transition = current.transitions[t];
       bool taken = true;
       for (const auto& [status, expected] : transition.literals) {
         if (values_[status].is_zero() == expected) {
@@ -445,25 +467,31 @@ class LevelizedSim {
         ++taken_[state_][t];
         state_ = transition.target;
         visits_[state_] += 1;
+        fired = &transition;
         break;
       }
     }
-    for (const Update& update : updates) {
-      set_traced(update.index, update.value, result);
+    for (const Update& update : updates_) {
+      set_traced(update.index, update.value, stats);
     }
-    for (const MemWrite& write : mem_writes) {
+    if (fired != nullptr) {
+      drive(fired->delta, stats);
+    }
+    for (const MemWrite& write : mem_writes_) {
       write.image->write(write.address, write.data);
-      ++result.stats.events;
+      ++stats.events;
     }
   }
 
   void finish(sim::EnginePartition& result) {
     result.stats.timesteps = result.cycles + 1;
     result.stats.end_time = result.cycles * options_.clock_period;
+    // Every traced wire reports, even if it never changed.
     for (std::size_t t = 0; t < trace_names_.size(); ++t) {
       result.finals.emplace(
           trace_names_[t],
           values_[index_of(trace_names_[t])].u());
+      result.traces[trace_names_[t]] = std::move(traces_[t]);
     }
     result.coverage = coverage_from_counts(config_.fsm, visits_, taken_);
   }
@@ -477,8 +505,9 @@ class LevelizedSim {
   std::vector<RegOp> registers_;
   std::vector<PipeOp> pipelined_;
   std::vector<WriteOp> writes_;
-  std::vector<std::size_t> control_index_;
-  std::vector<CompiledState> states_;
+  std::vector<Update> updates_;
+  std::vector<MemWrite> mem_writes_;
+  CompiledFsm fsm_;
   std::size_t depth_ = 0;
   std::size_t state_;
   std::size_t done_index_;
@@ -486,6 +515,8 @@ class LevelizedSim {
   std::vector<std::vector<std::uint64_t>> taken_;
   std::vector<std::size_t> trace_slot_;
   std::vector<std::string> trace_names_;
+  /// Per traced wire, in trace_names_ order: its value at each change.
+  std::vector<std::vector<std::uint64_t>> traces_;
 };
 
 }  // namespace

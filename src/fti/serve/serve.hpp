@@ -32,6 +32,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -79,6 +80,11 @@ struct Job {
 
 class Server {
  public:
+  /// Finished (done, error or cancelled) jobs the table keeps for
+  /// `status`; past this many, the job that finished first is dropped.
+  /// Queued and running jobs are never dropped.
+  static constexpr std::size_t kMaxFinishedJobs = 1024;
+
   explicit Server(ServerOptions options);
   ~Server();
   Server(const Server&) = delete;
@@ -127,6 +133,8 @@ class Server {
   mutable std::mutex mutex_;
   std::condition_variable jobs_cv_;
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
+  /// Ids of the finished jobs still in jobs_, in the order they finished.
+  std::deque<std::uint64_t> finished_ids_;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t finished_ = 0;
 

@@ -421,6 +421,11 @@ bool Server::enqueue_job(
       job->output = out.str();
       job->errors += err.str();
       ++finished_;
+      finished_ids_.push_back(job->id);
+      if (finished_ids_.size() > kMaxFinishedJobs) {
+        jobs_.erase(finished_ids_.front());
+        finished_ids_.pop_front();
+      }
     }
     jobs_cv_.notify_all();
   });

@@ -439,6 +439,107 @@ TEST_P(BatchedLaneParity, CompiledKernelDistinctLanesMatchLevelized) {
   }
 }
 
+TEST_P(BatchedLaneParity, ControlDivergentLanesMatchLevelized) {
+  // Each lane reads its own loop bound from memory, so lanes sit in
+  // different FSM states, take different transitions (and so commit
+  // different control deltas) and finish on different cycles.  The
+  // multiplier is pipelined, so pipeline stages commit alongside.  Every
+  // observable of every lane must equal an independent levelized run.
+  const std::size_t lanes = GetParam();
+  const char* source =
+      "kernel k(short s[8], short t[8], short n[1]) {\n"
+      "  int i;\n"
+      "  int m;\n"
+      "  m = n[0];\n"
+      "  for (i = 0; i < m; i = i + 1) {\n"
+      "    if (s[i] > 100) {\n"
+      "      t[i] = s[i] * 3;\n"
+      "    } else {\n"
+      "      t[i] = s[i] * 5 + 1;\n"
+      "    }\n"
+      "  }\n"
+      "}\n";
+  compiler::CompileOptions compile_options;
+  compile_options.resources.latencies = {{"mul", 2}};
+  auto compiled = compiler::compile_source(source, compile_options);
+
+  auto prime = [](mem::MemoryPool& pool, std::size_t lane) {
+    pool.create("s", 8, 16);
+    pool.create("t", 8, 16);
+    pool.create("n", 1, 16);
+    pool.get("n").write(0, lane % 9);
+    mem::MemoryImage& s = pool.get("s");
+    for (std::size_t i = 0; i < 8; ++i) {
+      s.write(i, (lane * 37 + i * 31) % 200);
+    }
+  };
+  sim::EngineRunOptions options;
+  options.collect_wire_data = true;
+  // A lane whose controls go wrong may never raise done; the budget turns
+  // that into a mismatch instead of a hang.
+  options.max_cycles_per_partition = 10'000;
+
+  std::deque<mem::MemoryPool> ref_pools(lanes);
+  std::vector<sim::EngineResult> ref_runs;
+  std::unique_ptr<sim::Engine> levelized = elab::make_engine("levelized");
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    prime(ref_pools[lane], lane);
+    ref_runs.push_back(
+        levelized->run(compiled.design, ref_pools[lane], options));
+    ASSERT_TRUE(ref_runs.back().completed) << "lane " << lane;
+  }
+  if (lanes > 1) {
+    ASSERT_NE(ref_runs[0].total_cycles(), ref_runs[1].total_cycles())
+        << "lanes must finish on different cycles";
+  }
+
+  std::deque<mem::MemoryPool> pools(lanes);
+  std::vector<mem::MemoryPool*> ptrs;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    prime(pools[lane], lane);
+    ptrs.push_back(&pools[lane]);
+  }
+  std::vector<sim::EngineResult> runs =
+      elab::make_engine("batched")->run_batch(compiled.design, ptrs, options);
+  ASSERT_EQ(runs.size(), lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    ASSERT_TRUE(runs[lane].completed) << "lane " << lane;
+    ASSERT_EQ(runs[lane].partitions.size(), ref_runs[lane].partitions.size())
+        << "lane " << lane;
+    for (std::size_t p = 0; p < runs[lane].partitions.size(); ++p) {
+      const sim::EnginePartition& got = runs[lane].partitions[p];
+      const sim::EnginePartition& want = ref_runs[lane].partitions[p];
+      EXPECT_EQ(got.cycles, want.cycles) << "lane " << lane;
+      EXPECT_EQ(got.reason, want.reason) << "lane " << lane;
+      EXPECT_EQ(got.finals, want.finals) << "lane " << lane;
+      EXPECT_EQ(got.traces, want.traces) << "lane " << lane;
+      EXPECT_EQ(got.stats.events, want.stats.events) << "lane " << lane;
+      EXPECT_EQ(got.stats.evaluations, want.stats.evaluations)
+          << "lane " << lane;
+      ASSERT_EQ(got.coverage.states.size(), want.coverage.states.size());
+      for (std::size_t s = 0; s < got.coverage.states.size(); ++s) {
+        EXPECT_EQ(got.coverage.states[s].visits,
+                  want.coverage.states[s].visits)
+            << "lane " << lane << " state " << want.coverage.states[s].name;
+      }
+      ASSERT_EQ(got.coverage.transitions.size(),
+                want.coverage.transitions.size());
+      for (std::size_t t = 0; t < got.coverage.transitions.size(); ++t) {
+        EXPECT_EQ(got.coverage.transitions[t].taken,
+                  want.coverage.transitions[t].taken)
+            << "lane " << lane << " transition "
+            << want.coverage.transitions[t].from << " -> "
+            << want.coverage.transitions[t].to;
+      }
+    }
+    for (const std::string& array : ref_pools[lane].names()) {
+      EXPECT_EQ(pools[lane].get(array).words(),
+                ref_pools[lane].get(array).words())
+          << "lane " << lane << " array '" << array << "'";
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // run_batch contract: the base-class fallback, and loud rejection of lane
 // counts the engine cannot represent (never silent clamping).

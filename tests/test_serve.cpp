@@ -181,6 +181,69 @@ TEST_F(ServeTest, CancelledQueuedJobNeverRuns) {
   EXPECT_TRUE(status == "cancelled" || status == "done") << status;
 }
 
+TEST_F(ServeTest, JobTableKeepsABoundedNumberOfFinishedJobs) {
+  // A long verify job stays in flight while more than kMaxFinishedJobs
+  // quick jobs finish: the first quick jobs to finish leave the table,
+  // the long one (the oldest id of all) never does.
+  std::filesystem::path dir = util::scratch_dir("serve-job-table");
+  util::write_file(dir / "spin.k",
+                   "kernel spin(int a[1], int n) {\n"
+                   "  int i;\n"
+                   "  int s;\n"
+                   "  s = 0;\n"
+                   "  for (i = 0; i < n; i = i + 1) {\n"
+                   "    s = s + i;\n"
+                   "  }\n"
+                   "  a[0] = s;\n"
+                   "}\n");
+  util::write_file(dir / "spin.args", "n=1000000\n");
+  util::JsonValue spin = roundtrip("{\"cmd\": \"verify\", \"kernel\": \"" +
+                                   (dir / "spin.k").string() +
+                                   "\", \"wait\": false}");
+  ASSERT_TRUE(spin.at("ok").as_bool());
+  const std::uint64_t spin_id = spin.at("job").as_u64();
+
+  const std::string quick =
+      "{\"cmd\": \"lint\", \"inputs\": [\"no_such_design.xml\"]}";
+  std::vector<std::uint64_t> quick_ids;
+  for (std::size_t i = 0; i < Server::kMaxFinishedJobs + 2; ++i) {
+    util::JsonValue reply = roundtrip(quick);
+    ASSERT_TRUE(reply.at("ok").as_bool());
+    quick_ids.push_back(reply.at("job").as_u64());
+  }
+  auto status_of = [&](std::uint64_t id) {
+    return roundtrip("{\"cmd\": \"status\", \"job\": " + std::to_string(id) +
+                     "}");
+  };
+  // At least kMaxFinishedJobs + 2 jobs have finished, so the first two
+  // quick jobs are gone: status and cancel fail softly, like any unknown
+  // id.
+  for (std::size_t i = 0; i < 2; ++i) {
+    std::string id = std::to_string(quick_ids[i]);
+    for (const char* cmd : {"status", "cancel"}) {
+      util::JsonValue reply = roundtrip(std::string("{\"cmd\": \"") + cmd +
+                                        "\", \"job\": " + id + "}");
+      EXPECT_FALSE(reply.at("ok").as_bool()) << cmd << " " << id;
+      EXPECT_NE(reply.at("error").as_string().find("unknown job"),
+                std::string::npos);
+    }
+  }
+  EXPECT_TRUE(status_of(quick_ids.back()).at("ok").as_bool());
+
+  std::string status;
+  for (int i = 0; i < 600; ++i) {
+    util::JsonValue reply = status_of(spin_id);
+    ASSERT_TRUE(reply.at("ok").as_bool()) << "in-flight job was evicted";
+    status = reply.at("status").as_string();
+    if (status == "done" || status == "error" || status == "cancelled") {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(status, "done");
+  EXPECT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
+}
+
 TEST_F(ServeTest, ShutdownRequestWakesWait) {
   std::thread waiter([this] { server_->wait(); });
   util::JsonValue reply = roundtrip("{\"cmd\": \"shutdown\"}");

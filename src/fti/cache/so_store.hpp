@@ -2,8 +2,10 @@
 // content-addressed on-disk cache of the native modules codegen::cpp
 // emits and the host toolchain compiles (ROADMAP item 2).
 //
-// Keys are the 128-bit canonical IR hashes of ir_hash.hpp, so the store
-// composes with the in-memory DesignCache: a warm `fti serve`
+// Keys are the 128-bit canonical IR hashes of ir_hash.hpp mixed with the
+// digest of the emitter's fixed module preamble (elab::compiled_module_key),
+// so the store composes with the in-memory DesignCache while objects
+// built by an older emitter miss: a warm `fti serve`
 // resubmission of a design whose module was compiled by ANY earlier
 // process -- same machine, different job, different day -- skips the
 // host compiler entirely and dlopen()s the cached object.

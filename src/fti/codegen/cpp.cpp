@@ -5,16 +5,15 @@
 
 #include "fti/elab/compiled_abi.hpp"
 #include "fti/ir/comb_graph.hpp"
+#include "fti/ops/word_ops.hpp"
+#include "fti/sim/bits.hpp"
 #include "fti/util/error.hpp"
+#include "fti/util/strings.hpp"
 
 namespace fti::codegen {
 namespace {
 
 std::string u64(std::uint64_t value) { return std::to_string(value) + "ull"; }
-
-std::uint64_t mask_of(std::uint32_t width) {
-  return width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-}
 
 std::string hex64(std::uint64_t value) {
   static const char* kDigits = "0123456789abcdef";
@@ -35,7 +34,7 @@ std::string masked(const std::string& expr, std::uint32_t width) {
   if (width >= 64) {
     return expr;
   }
-  return "(" + expr + ") & " + hex64(mask_of(width));
+  return "(" + expr + ") & " + hex64(sim::Bits::mask(width));
 }
 
 /// Escapes a name for use inside a C string literal or comment.
@@ -54,35 +53,9 @@ std::string escaped(const std::string& name) {
   return out;
 }
 
-/// The helper preamble shared by every generated module: exact ports of
-/// ops::eval_binop / eval_unop corner-case semantics (alu.cpp) plus the
-/// SimError formatter.  fti_sxt works at any width via the caller-folded
-/// sign-bit constant; INT64_MIN is spelled out because the generated
-/// code includes no headers at all.
-constexpr const char* kHelpers = R"helpers(
-static inline long long fti_sxt(unsigned long long v, unsigned long long sign) {
-  return (long long)((v ^ sign) - sign);
-}
-static inline unsigned long long fti_div(long long a, long long b) {
-  if (b == 0) return ~0ull;
-  if (a == (-9223372036854775807ll - 1) && b == -1) return (unsigned long long)a;
-  return (unsigned long long)(a / b);
-}
-static inline unsigned long long fti_rem(long long a, long long b) {
-  if (b == 0) return (unsigned long long)a;
-  if (a == (-9223372036854775807ll - 1) && b == -1) return 0ull;
-  return (unsigned long long)(a % b);
-}
-static inline unsigned long long fti_abs(long long v) {
-  unsigned long long u = (unsigned long long)v;
-  return v < 0 ? 0ull - u : u;
-}
-static inline unsigned long long fti_min(long long a, long long b) {
-  return (unsigned long long)(a < b ? a : b);
-}
-static inline unsigned long long fti_max(long long a, long long b) {
-  return (unsigned long long)(a > b ? a : b);
-}
+/// The SimError formatter every generated module carries after the
+/// word_ops.hpp kernels.
+constexpr const char* kFailHelper = R"helpers(
 static int fti_fail(FtiCompiledRunV1* io, const char* pre,
                     unsigned long long n, const char* post) {
   char* out = io->error;
@@ -189,95 +162,24 @@ class NodeEmitter {
     return widths_[index_of(wire)];
   }
 
-  /// Sign extension of `expr` (a masked value of width `width`).
-  std::string sxt(const std::string& expr, std::uint32_t width) const {
-    if (width >= 64) {
-      return "(long long)(" + expr + ")";
+  /// The word_ops.hpp kernel call computing a binop or unop unit: its
+  /// operand wires, their sign bits, then the output mask.
+  std::string kernel_call(const ir::Unit& unit, std::uint32_t out_width) const {
+    const bool binary = unit.kind == ir::UnitKind::kBinOp;
+    std::vector<std::string> operands = {unit.port("a")};
+    if (binary) {
+      operands.push_back(unit.port("b"));
     }
-    return "fti_sxt(" + expr + ", " +
-           hex64(std::uint64_t{1} << (width - 1)) + ")";
-  }
-
-  std::string binop_expr(ops::BinOp op, const std::string& a,
-                         const std::string& b, std::uint32_t out_width) const {
-    const std::string A = ref(a);
-    const std::string B = ref(b);
-    const std::string SA = sxt(A, width_of(a));
-    const std::string SB = sxt(B, width_of(b));
-    auto flag = [&](const std::string& cond) {
-      return "(" + cond + " ? 1ull : 0ull)";
-    };
-    switch (op) {
-      case ops::BinOp::kAdd:
-        return masked(A + " + " + B, out_width);
-      case ops::BinOp::kSub:
-        return masked(A + " - " + B, out_width);
-      case ops::BinOp::kMul:
-        return masked(A + " * " + B, out_width);
-      case ops::BinOp::kDiv:
-        return masked("fti_div(" + SA + ", " + SB + ")", out_width);
-      case ops::BinOp::kRem:
-        return masked("fti_rem(" + SA + ", " + SB + ")", out_width);
-      case ops::BinOp::kAnd:
-        return masked(A + " & " + B, out_width);
-      case ops::BinOp::kOr:
-        return masked(A + " | " + B, out_width);
-      case ops::BinOp::kXor:
-        return masked(A + " ^ " + B, out_width);
-      case ops::BinOp::kShl:
-        return masked("(" + B + " >= 64ull ? 0ull : " + A + " << " + B + ")",
-                      out_width);
-      case ops::BinOp::kShr:
-        return masked("(" + B + " >= 64ull ? 0ull : " + A + " >> " + B + ")",
-                      out_width);
-      case ops::BinOp::kAshr:
-        return masked("(unsigned long long)(" + SA + " >> (int)(" + B +
-                          " > 63ull ? 63ull : " + B + "))",
-                      out_width);
-      case ops::BinOp::kEq:
-        return flag(A + " == " + B);
-      case ops::BinOp::kNe:
-        return flag(A + " != " + B);
-      case ops::BinOp::kLt:
-        return flag(SA + " < " + SB);
-      case ops::BinOp::kLe:
-        return flag(SA + " <= " + SB);
-      case ops::BinOp::kGt:
-        return flag(SA + " > " + SB);
-      case ops::BinOp::kGe:
-        return flag(SA + " >= " + SB);
-      case ops::BinOp::kLtu:
-        return flag(A + " < " + B);
-      case ops::BinOp::kLeu:
-        return flag(A + " <= " + B);
-      case ops::BinOp::kGtu:
-        return flag(A + " > " + B);
-      case ops::BinOp::kGeu:
-        return flag(A + " >= " + B);
-      case ops::BinOp::kMin:
-        return masked("fti_min(" + SA + ", " + SB + ")", out_width);
-      case ops::BinOp::kMax:
-        return masked("fti_max(" + SA + ", " + SB + ")", out_width);
+    std::string values;
+    std::string signs;
+    for (const std::string& wire : operands) {
+      values += ref(wire) + ", ";
+      signs += hex64(ops::sign_bit(width_of(wire))) + ", ";
     }
-    FTI_ASSERT(false, "codegen: unhandled BinOp");
-  }
-
-  std::string unop_expr(ops::UnOp op, const std::string& a,
-                        std::uint32_t out_width) const {
-    const std::string A = ref(a);
-    switch (op) {
-      case ops::UnOp::kNot:
-        return masked("~" + A, out_width);
-      case ops::UnOp::kNeg:
-        return masked("~" + A + " + 1ull", out_width);
-      case ops::UnOp::kAbs:
-        return masked("fti_abs(" + sxt(A, width_of(a)) + ")", out_width);
-      case ops::UnOp::kPass:
-        return masked(A, out_width);
-      case ops::UnOp::kSext:
-        return masked("(unsigned long long)" + sxt(A, width_of(a)), out_width);
-    }
-    FTI_ASSERT(false, "codegen: unhandled UnOp");
+    return "fti_" +
+           std::string(binary ? ops::to_string(unit.binop)
+                              : ops::to_string(unit.unop)) +
+           "(" + values + signs + hex64(sim::Bits::mask(out_width)) + ")";
   }
 
   /// Change-detected commit matching LevelizedSim::set_traced: events
@@ -316,7 +218,7 @@ class NodeEmitter {
     for (const ir::Unit& unit : datapath_.units) {
       if (unit.kind == ir::UnitKind::kConst) {
         std::size_t out = index_of(unit.port("out"));
-        init[out] = unit.value & mask_of(widths_[out]);
+        init[out] = unit.value & sim::Bits::mask(widths_[out]);
         folded[out] = &unit;
       }
     }
@@ -387,7 +289,7 @@ class NodeEmitter {
         if (c != 0) {
           row += ", ";
         }
-        row += u64(value & mask_of(widths_[index_of(controls[c])]));
+        row += u64(value & sim::Bits::mask(widths_[index_of(controls[c])]));
       }
       row += "},  /* '" + escaped(st.name) + "' */";
       ln(row);
@@ -418,11 +320,8 @@ class NodeEmitter {
       std::string expr;
       switch (unit.kind) {
         case ir::UnitKind::kBinOp:
-          expr = binop_expr(unit.binop, unit.port("a"), unit.port("b"),
-                            out_width);
-          break;
         case ir::UnitKind::kUnOp:
-          expr = unop_expr(unit.unop, unit.port("a"), out_width);
+          expr = kernel_call(unit, out_width);
           break;
         case ir::UnitKind::kMux: {
           std::string sel = ref(unit.port("sel"));
@@ -479,7 +378,7 @@ class NodeEmitter {
         continue;
       }
       std::size_t q = index_of(unit.port("q"));
-      std::uint64_t reset = unit.reset_value & mask_of(widths_[q]);
+      std::uint64_t reset = unit.reset_value & sim::Bits::mask(widths_[q]);
       if (reset == 0) {
         continue;
       }
@@ -535,7 +434,7 @@ class NodeEmitter {
       std::string c = "rc" + std::to_string(r);
       std::string d = ref(unit.port("d"));
       std::uint64_t reset =
-          unit.reset_value & mask_of(width_of(unit.port("q")));
+          unit.reset_value & sim::Bits::mask(width_of(unit.port("q")));
       bool has_rst = unit.has_port("rst");
       bool has_en = unit.has_port("en");
       if (has_rst && has_en) {
@@ -557,8 +456,7 @@ class NodeEmitter {
     for (std::size_t p = 0; p < pipes.size(); ++p) {
       const ir::Unit& unit = *pipes[p];
       std::uint32_t width = width_of(unit.port("out"));
-      std::string eval =
-          binop_expr(unit.binop, unit.port("a"), unit.port("b"), width);
+      std::string eval = kernel_call(unit, width);
       std::string v = "pv" + std::to_string(p);
       if (unit.latency == 1) {
         ln("    unsigned long long " + v + " = " + eval + ";");
@@ -664,6 +562,31 @@ class NodeEmitter {
 
 }  // namespace
 
+const std::string& cpp_preamble() {
+  static const std::string text = [] {
+    std::string out = elab::cabi::kCompiledAbiText;
+    // Host-computed sizeofs: any layout drift between the ABI text above
+    // and the header the loading process was built with fails this
+    // module's own compile instead of corrupting a run.
+    out += "\nstatic_assert(sizeof(FtiCompiledRunV1) == " +
+           std::to_string(sizeof(FtiCompiledRunV1)) +
+           ", \"compiled ABI drift: FtiCompiledRunV1\");\n";
+    out += "static_assert(sizeof(FtiCompiledNodeV1) == " +
+           std::to_string(sizeof(FtiCompiledNodeV1)) +
+           ", \"compiled ABI drift: FtiCompiledNodeV1\");\n";
+    out += "static_assert(sizeof(FtiCompiledDesignV1) == " +
+           std::to_string(sizeof(FtiCompiledDesignV1)) +
+           ", \"compiled ABI drift: FtiCompiledDesignV1\");\n";
+    // The stringized kernels arrive as one line; one kernel per line
+    // keeps the generated modules readable.
+    out += "\n" + util::replace_all(ops::kWordOpsText, "} static inline",
+                                    "}\nstatic inline");
+    out += kFailHelper;
+    return out;
+  }();
+  return text;
+}
+
 CppModule emit_cpp(
     const ir::Design& design, const std::string& ir_hash,
     const std::vector<const elab::LevelizedSchedule*>& schedules) {
@@ -675,20 +598,7 @@ CppModule emit_cpp(
          escaped(design.name) + "', IR hash " + ir_hash + ", ABI v" +
          std::to_string(elab::cabi::kCompiledAbiVersion) +
          ". Do not edit. */\n";
-  out += elab::cabi::kCompiledAbiText;
-  // Host-computed sizeofs: any layout drift between the ABI text above
-  // and the header the loading process was built with fails this
-  // module's own compile instead of corrupting a run.
-  out += "\nstatic_assert(sizeof(FtiCompiledRunV1) == " +
-         std::to_string(sizeof(FtiCompiledRunV1)) +
-         ", \"compiled ABI drift: FtiCompiledRunV1\");\n";
-  out += "static_assert(sizeof(FtiCompiledNodeV1) == " +
-         std::to_string(sizeof(FtiCompiledNodeV1)) +
-         ", \"compiled ABI drift: FtiCompiledNodeV1\");\n";
-  out += "static_assert(sizeof(FtiCompiledDesignV1) == " +
-         std::to_string(sizeof(FtiCompiledDesignV1)) +
-         ", \"compiled ABI drift: FtiCompiledDesignV1\");\n";
-  out += kHelpers;
+  out += cpp_preamble();
   for (std::size_t i = 0; i < design.rtg.nodes.size(); ++i) {
     NodeEmitter emitter(design, design.rtg.nodes[i], i, *schedules[i], out);
     emitter.emit();

@@ -11,10 +11,14 @@
 // The emitted semantics mirror elab/levelized.cpp observable-for-
 // observable: same evaluation order, same change-detected commit rule
 // (events count value changes, traces append on change only), same
-// eval_binop/eval_unop corner cases (division by zero, INT64_MIN / -1,
-// oversized shifts, per-operand sign extension), same out-of-bounds
-// write SimError -- so the parity suite and the fuzz differ can hold
-// the compiled engine to bit-exact agreement.
+// out-of-bounds write SimError -- so the parity suite and the fuzz
+// differ can hold the compiled engine to bit-exact agreement.  Operator
+// semantics are not re-spelled here: every module carries the text of
+// ops/word_ops.hpp, the single definition behind eval_binop/eval_unop
+// and the batched lane loops, and each functional unit becomes one
+// `fti_<op>(operands, sign bits, mask)` call into it.  The Verilog
+// emitter's zero-guard arms and the abstract transfer functions of
+// xsim/fourstate.cpp and lint/dataflow.cpp stay independent on purpose.
 #pragma once
 
 #include <string>
@@ -47,12 +51,19 @@ struct CppModule {
   std::vector<CppNodeLayout> nodes;
 };
 
+/// The fixed text every module starts with after its banner comment:
+/// the ABI declarations, their host sizeof checks, the word_ops.hpp
+/// kernels and the SimError formatter.  The compiled engine mixes its
+/// digest into the shared-object cache key, so an emitter change that
+/// alters it never loads an object built from the old text.
+const std::string& cpp_preamble();
+
 /// Emits the module for `design`.  `schedules` is parallel to
 /// `design.rtg.nodes` and each entry must have been built from that
 /// node's configuration (acquire_levelized_schedule provides them; a
 /// combinational cycle therefore fails before emission starts).
-/// `ir_hash` is the 32-hex canonical IR hash baked into the module and
-/// re-checked at every load.
+/// `ir_hash` is the 32-hex module key (elab::compiled_module_key) baked
+/// into the module and re-checked at every load.
 CppModule emit_cpp(const ir::Design& design, const std::string& ir_hash,
                    const std::vector<const elab::LevelizedSchedule*>& schedules);
 

@@ -173,7 +173,7 @@ class ModuleRegistry {
   /// emit+compile.  nullptr when no host compiler is usable (caller
   /// falls back); throws SimError on compile failure.
   std::shared_ptr<Module> acquire(const ir::Design& design) {
-    cache::Key key = cache::hash_design(design);
+    cache::Key key = compiled_module_key(design, compiled_preamble_digest());
     std::shared_ptr<Slot> slot = slot_for(key.to_string());
     std::lock_guard<std::mutex> lock(slot->mutex);
     if (slot->module != nullptr) {
@@ -326,6 +326,26 @@ void warn_fallback_once() {
 }
 
 }  // namespace
+
+cache::Key compiled_preamble_digest() {
+  static const cache::Key digest = [] {
+    cache::Hasher hasher;
+    hasher.mix_string(codegen::cpp_preamble());
+    return hasher.key();
+  }();
+  return digest;
+}
+
+cache::Key compiled_module_key(const ir::Design& design,
+                               const cache::Key& preamble_digest) {
+  cache::Key ir = cache::hash_design(design);
+  cache::Hasher hasher;
+  hasher.mix_u64(ir.hi);
+  hasher.mix_u64(ir.lo);
+  hasher.mix_u64(preamble_digest.hi);
+  hasher.mix_u64(preamble_digest.lo);
+  return hasher.key();
+}
 
 CompiledStatus compiled_status() {
   CompiledStatus status;

@@ -6,6 +6,7 @@
 // startup) compiles it to a shared object, and this engine dlopen()s
 // the result and drives it through the versioned extern "C" ABI of
 // compiled_abi.hpp.  Modules are keyed on the 128-bit canonical IR hash
+// mixed with the digest of the fixed module preamble (compiled_module_key)
 // and cached twice: a process-wide in-memory registry (a warm `fti
 // serve` resubmission re-dispatches into the already-loaded module with
 // zero compiler work) and the on-disk cache::SoStore (a later process
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <string>
 
+#include "fti/cache/ir_hash.hpp"
 #include "fti/elab/engines.hpp"
 
 namespace fti::elab {
@@ -56,6 +58,17 @@ struct CompiledStats {
 };
 
 CompiledStats compiled_stats();
+
+/// Digest of codegen::cpp_preamble(), the fixed text (ABI declarations
+/// and word_ops.hpp kernels) every generated module starts with.
+cache::Key compiled_preamble_digest();
+
+/// Key of `design`'s native module: the shared-object cache filename and
+/// the hash embedded in (and re-checked at every load of) the module.
+/// It mixes the canonical IR hash with `preamble_digest`, so an object
+/// built from a different preamble misses instead of loading.
+cache::Key compiled_module_key(const ir::Design& design,
+                               const cache::Key& preamble_digest);
 
 /// Testing hook: forgets every loaded module and sticky compile error so
 /// the next run re-probes the disk cache and toolchain.  Leaks the

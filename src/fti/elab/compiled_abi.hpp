@@ -4,8 +4,9 @@
 //
 // A module is a single shared object exporting one symbol,
 // `fti_compiled_design`, returning a FtiCompiledDesignV1: the ABI
-// version, the 32-hex canonical IR hash the module was generated from
-// (checked against the requesting design at load, so a stale or
+// version, the 32-hex module key it was generated under (the canonical
+// IR hash mixed with the preamble digest, see compiled_module_key;
+// checked against the requesting design at load, so a stale or
 // mislabeled cache object can only miss, never alias), and one run
 // function per RTG node.  Run functions return 0 when the done net
 // rose, 1 on cycle-budget exhaustion and 2 on a simulation error (the

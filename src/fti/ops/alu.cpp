@@ -1,8 +1,6 @@
 #include "fti/ops/alu.hpp"
 
-#include <algorithm>
-#include <limits>
-
+#include "fti/ops/word_ops.hpp"
 #include "fti/util/error.hpp"
 
 namespace fti::ops {
@@ -11,107 +9,17 @@ using sim::Bits;
 
 sim::Bits eval_binop(BinOp op, const Bits& a, const Bits& b,
                      std::uint32_t out_width) {
-  const std::uint64_t au = a.u();
-  const std::uint64_t bu = b.u();
-  const std::int64_t as = a.s();
-  const std::int64_t bs = b.s();
-  auto make = [out_width](std::uint64_t value) {
-    return Bits(out_width, value);
-  };
-  // Comparison results are 0/1 but still sized to the output net.
-  auto flag = [out_width](bool value) {
-    return Bits(out_width, value ? 1u : 0u);
-  };
-  switch (op) {
-    case BinOp::kAdd:
-      return make(au + bu);
-    case BinOp::kSub:
-      return make(au - bu);
-    case BinOp::kMul:
-      return make(au * bu);
-    case BinOp::kDiv: {
-      if (bs == 0) {
-        return make(~std::uint64_t{0});
-      }
-      // INT64_MIN / -1 overflows in C++; the masked result of the
-      // mathematically correct quotient is the dividend itself.
-      if (as == std::numeric_limits<std::int64_t>::min() && bs == -1) {
-        return make(static_cast<std::uint64_t>(as));
-      }
-      return make(static_cast<std::uint64_t>(as / bs));
-    }
-    case BinOp::kRem: {
-      if (bs == 0) {
-        return make(static_cast<std::uint64_t>(as));
-      }
-      if (as == std::numeric_limits<std::int64_t>::min() && bs == -1) {
-        return make(0);
-      }
-      return make(static_cast<std::uint64_t>(as % bs));
-    }
-    case BinOp::kAnd:
-      return make(au & bu);
-    case BinOp::kOr:
-      return make(au | bu);
-    case BinOp::kXor:
-      return make(au ^ bu);
-    case BinOp::kShl: {
-      std::uint64_t shift = bu;
-      return make(shift >= 64 ? 0 : au << shift);
-    }
-    case BinOp::kShr: {
-      std::uint64_t shift = bu;
-      return make(shift >= 64 ? 0 : au >> shift);
-    }
-    case BinOp::kAshr: {
-      std::uint64_t shift = std::min<std::uint64_t>(bu, 63);
-      return make(static_cast<std::uint64_t>(as >> shift));
-    }
-    case BinOp::kEq:
-      return flag(au == bu);
-    case BinOp::kNe:
-      return flag(au != bu);
-    case BinOp::kLt:
-      return flag(as < bs);
-    case BinOp::kLe:
-      return flag(as <= bs);
-    case BinOp::kGt:
-      return flag(as > bs);
-    case BinOp::kGe:
-      return flag(as >= bs);
-    case BinOp::kLtu:
-      return flag(au < bu);
-    case BinOp::kLeu:
-      return flag(au <= bu);
-    case BinOp::kGtu:
-      return flag(au > bu);
-    case BinOp::kGeu:
-      return flag(au >= bu);
-    case BinOp::kMin:
-      return make(static_cast<std::uint64_t>(std::min(as, bs)));
-    case BinOp::kMax:
-      return make(static_cast<std::uint64_t>(std::max(as, bs)));
-  }
-  FTI_ASSERT(false, "unhandled BinOp");
+  return Bits(out_width, visit_binop(op, [&]<auto kernel>() {
+                return kernel(a.u(), b.u(), sign_bit(a.width()),
+                              sign_bit(b.width()), Bits::mask(out_width));
+              }));
 }
 
 sim::Bits eval_unop(UnOp op, const Bits& a, std::uint32_t out_width) {
-  switch (op) {
-    case UnOp::kNot:
-      return Bits(out_width, ~a.u());
-    case UnOp::kNeg:
-      return Bits(out_width, ~a.u() + 1);
-    case UnOp::kAbs: {
-      std::int64_t value = a.s();
-      return Bits(out_width, static_cast<std::uint64_t>(
-                                 value < 0 ? -value : value));
-    }
-    case UnOp::kPass:
-      return Bits(out_width, a.u());
-    case UnOp::kSext:
-      return Bits(out_width, static_cast<std::uint64_t>(a.s()));
-  }
-  FTI_ASSERT(false, "unhandled UnOp");
+  return Bits(out_width, visit_unop(op, [&]<auto kernel>() {
+                return kernel(a.u(), sign_bit(a.width()),
+                              Bits::mask(out_width));
+              }));
 }
 
 bool is_comparison(BinOp op) {

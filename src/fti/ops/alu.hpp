@@ -1,10 +1,13 @@
 // Functional-unit semantics and the combinational operator components.
 //
-// The same evaluation functions back three consumers, which is what makes
-// the infrastructure's comparisons meaningful:
-//  * the event-driven operator components (this file),
-//  * the naive full-evaluation baseline simulator,
-//  * golden-model checks in tests.
+// eval_binop / eval_unop are thin Bits wrappers over ops/word_ops.hpp,
+// the single definition of word-level operator semantics.  The batched
+// engine's lane loops and the compiled engine's generated modules use
+// the same kernels, so every engine computes each functional unit the
+// same way and a mismatch points at the compiler under test.  Kept
+// independent on purpose (see word_ops.hpp): the Verilog emitter's
+// zero-guard arms, the abstract transfer functions of xsim/fourstate.cpp
+// and lint/dataflow.cpp, and the fuzz reference interpreter's loop.
 #pragma once
 
 #include <cstdint>

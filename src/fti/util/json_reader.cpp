@@ -70,9 +70,16 @@ class Parser {
     char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue value = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': {
         JsonValue value;
         value.kind = JsonValue::Kind::kString;
@@ -326,6 +333,7 @@ class Parser {
   }
 
   std::string_view text_;
+  std::size_t depth_ = 0;
   std::size_t pos_ = 0;
 };
 

@@ -6,6 +6,8 @@
 //  * corrupted cached shared object  -> evicted and recompiled,
 //  * wrong-design object under a key -> rejected by the embedded-hash
 //    check, never trusted,
+//  * object built from a different module preamble (an older emitter)
+//    -> misses under its own key, rejected under the current one,
 //  * warm on-disk cache              -> dlopen with zero compiler work,
 //    asserted by pointing FTI_COMPILED_CXX at a booby-trapped script
 //    that records (and fails) any invocation.
@@ -21,12 +23,14 @@
 #include <string>
 #include <vector>
 
+#include "fti/cache/ir_hash.hpp"
 #include "fti/elab/compiled.hpp"
 #include "fti/elab/engines.hpp"
 #include "fti/mem/storage.hpp"
 #include "fti/sim/engine.hpp"
 #include "fti/util/error.hpp"
 #include "fti/util/file_io.hpp"
+#include "fti/util/strings.hpp"
 #include "test_designs.hpp"
 
 namespace fti {
@@ -262,6 +266,65 @@ TEST(CompiledCache, WrongDesignObjectUnderAKeyIsRejectedByItsHash) {
   elab::CompiledStats after = elab::compiled_stats();
   EXPECT_EQ(after.load_rejects, before.load_rejects + 1);
   EXPECT_EQ(after.compiles, before.compiles + 1);
+}
+
+TEST(CompiledCache, ObjectBuiltUnderADifferentPreambleMissesAndIsRebuilt) {
+  TempDir cache("preamble");
+  ScopedEnv cache_env("FTI_COMPILED_CACHE_DIR", cache.path.string());
+  elab::compiled_reset_for_testing();
+  if (!elab::compiled_backend_available()) {
+    GTEST_SKIP() << "no host C++ toolchain in this environment";
+  }
+
+  ir::Design design = accumulator_design(17);
+  const cache::Key current =
+      elab::compiled_module_key(design, elab::compiled_preamble_digest());
+  // Any other digest stands for an emitter whose fixed module text
+  // (ABI declarations, word-ops kernels) differs from this build's.
+  cache::Key other_digest = elab::compiled_preamble_digest();
+  other_digest.lo ^= 1;
+  const cache::Key stale = elab::compiled_module_key(design, other_digest);
+  ASSERT_NE(stale, current);
+  ASSERT_NE(current, cache::hash_design(design));
+
+  ASSERT_TRUE(run_design(design, "compiled").completed);
+  std::vector<std::filesystem::path> objects = cached_objects(cache.path);
+  ASSERT_EQ(objects.size(), 1u);
+  ASSERT_EQ(objects[0].stem().string(), current.to_string());
+
+  // What the other emitter would have published: a module embedding the
+  // stale key, stored under the stale key's filename.
+  const std::string built = util::read_file(objects[0].string());
+  const std::string forged =
+      util::replace_all(built, current.to_string(), stale.to_string());
+  ASSERT_NE(forged, built);
+  util::write_file((cache.path / (stale.to_string() + ".so")).string(),
+                   forged);
+  std::filesystem::remove(objects[0]);
+
+  // The current emitter never asks for the stale key: a miss, a rebuild.
+  elab::compiled_reset_for_testing();
+  elab::CompiledStats before = elab::compiled_stats();
+  sim::EngineResult rebuilt = run_design(design, "compiled");
+  ASSERT_TRUE(rebuilt.completed);
+  EXPECT_EQ(rebuilt.partitions[0].finals.at("acc_q"), 18u);
+  elab::CompiledStats after = elab::compiled_stats();
+  EXPECT_EQ(after.compiles, before.compiles + 1);
+  EXPECT_EQ(after.cache_hits_disk, before.cache_hits_disk);
+  EXPECT_EQ(after.load_rejects, before.load_rejects);
+
+  // Even under the current key's filename, the embedded hash check
+  // rejects it and the module is rebuilt.
+  plant_object(cache.path / (current.to_string() + ".so"), forged);
+  elab::compiled_reset_for_testing();
+  before = elab::compiled_stats();
+  sim::EngineResult rerun = run_design(design, "compiled");
+  ASSERT_TRUE(rerun.completed);
+  EXPECT_EQ(rerun.partitions[0].finals.at("acc_q"), 18u);
+  after = elab::compiled_stats();
+  EXPECT_EQ(after.load_rejects, before.load_rejects + 1);
+  EXPECT_EQ(after.compiles, before.compiles + 1);
+  EXPECT_EQ(after.cache_hits_disk, before.cache_hits_disk);
 }
 
 TEST(CompiledCache, WarmDiskHitSkipsTheHostCompilerEntirely) {

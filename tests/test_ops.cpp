@@ -87,6 +87,10 @@ TEST(Alu, UnaryOps) {
   EXPECT_EQ(eval_unop(UnOp::kNeg, Bits(8, 1), 8).u(), 0xFFu);
   EXPECT_EQ(eval_unop(UnOp::kAbs, Bits(8, 0xFB), 8).u(), 5u);
   EXPECT_EQ(eval_unop(UnOp::kAbs, Bits(8, 5), 8).u(), 5u);
+  // abs(INT64_MIN) wraps to itself; the negate is unsigned, so a UBSan
+  // build reports nothing here.
+  EXPECT_EQ(eval_unop(UnOp::kAbs, Bits(64, 0x8000000000000000ull), 64).u(),
+            0x8000000000000000ull);
   EXPECT_EQ(eval_unop(UnOp::kPass, Bits(8, 0xFF), 16).u(), 0xFFu);
   EXPECT_EQ(eval_unop(UnOp::kSext, Bits(8, 0xFF), 16).u(), 0xFFFFu);
 }

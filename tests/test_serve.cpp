@@ -78,6 +78,15 @@ TEST_F(ServeTest, MalformedAndUnknownRequestsFailSoftly) {
             std::string::npos);
 }
 
+TEST_F(ServeTest, DeeplyNestedRequestFailsSoftlyAndDaemonKeepsAnswering) {
+  util::JsonValue reply = roundtrip(std::string(200000, '['));
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_NE(reply.at("error").as_string().find("nesting deeper than"),
+            std::string::npos)
+      << reply.at("error").as_string();
+  EXPECT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
+}
+
 TEST_F(ServeTest, WarmResubmissionHitsCacheWithIdenticalReport) {
   std::string submit = "{\"cmd\": \"verify\", \"kernel\": \"" +
                        kernel_path("saxpy.k").string() + "\"}";

@@ -354,6 +354,30 @@ TEST(JsonReader, RoundTripsAstralCharactersThroughJsonEscape) {
   EXPECT_EQ(doc.as_string(), astral);
 }
 
+TEST(JsonReader, NestingBeyondTheDepthCapIsATypedError) {
+  auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth, '[', ']')));
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1, '[', ']')), JsonError);
+  std::string objects;
+  for (std::size_t i = 0; i <= kMaxJsonDepth; ++i) {
+    objects += "{\"k\": ";
+  }
+  objects += "1" + std::string(kMaxJsonDepth + 1, '}');
+  EXPECT_THROW(parse_json(objects), JsonError);
+  // Far past the cap the parser still fails with the typed error instead
+  // of recursing until the stack overflows.
+  try {
+    parse_json(std::string(200000, '['));
+    FAIL() << "200,000 nested '[' must not parse";
+  } catch (const JsonError& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting deeper than"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(JsonReader, RejectsMalformedInput) {
   EXPECT_THROW(parse_json(""), JsonError);
   EXPECT_THROW(parse_json("{"), JsonError);

@@ -1,5 +1,7 @@
 #include "fti/compiler/parser.hpp"
 
+#include <algorithm>
+
 #include "fti/compiler/lexer.hpp"
 #include "fti/util/error.hpp"
 #include "fti/util/strings.hpp"
@@ -42,6 +44,51 @@ class Parser {
     throw util::CompileError("line " + std::to_string(peek().line) + ": " +
                              message + " (found " +
                              to_string(peek().kind) + ")");
+  }
+
+  /// One level of parser recursion (a statement, a parenthesized or
+  /// argument expression, a unary operand).  Past util::kMaxNestingDepth
+  /// levels the parse fails with a CompileError instead of overflowing the
+  /// stack.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > util::kMaxNestingDepth) {
+        parser_.fail_too_deep();
+      }
+    }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
+  [[noreturn]] void fail_too_deep() {
+    fail("nesting deeper than " + std::to_string(util::kMaxNestingDepth) +
+         " levels");
+  }
+
+  /// Longest path from `expr` to a leaf.  Only called on trees that
+  /// already passed the checks below, so its recursion stays bounded.
+  static std::size_t height(const Expr& expr) {
+    std::size_t below = 0;
+    for (const Expr* child : {expr.a.get(), expr.b.get()}) {
+      if (child != nullptr) {
+        below = std::max(below, height(*child));
+      }
+    }
+    return below + 1;
+  }
+
+  /// Operator chains (`a + b + ...`) grow a left-deep tree in a loop, not
+  /// by recursion, so every binary node's height is checked instead.
+  std::unique_ptr<Expr> checked_binary(std::unique_ptr<Expr> expr) {
+    if (height(*expr) > util::kMaxNestingDepth) {
+      fail_too_deep();
+    }
+    return expr;
   }
 
   const Token& peek(std::size_t ahead = 0) const {
@@ -119,6 +166,7 @@ class Parser {
   }
 
   std::unique_ptr<Stmt> parse_stmt(bool top_level) {
+    Nest nest(*this);
     int line = peek().line;
     if (at(TokKind::kIntType)) {
       // Local declaration.  short/byte locals are rejected by design: the
@@ -218,10 +266,13 @@ class Parser {
     expr->a = std::move(a);
     expr->b = std::move(b);
     expr->line = line;
-    return expr;
+    return checked_binary(std::move(expr));
   }
 
-  std::unique_ptr<Expr> parse_expr() { return parse_lor(); }
+  std::unique_ptr<Expr> parse_expr() {
+    Nest nest(*this);
+    return parse_lor();
+  }
 
   std::unique_ptr<Expr> parse_lor() {
     auto lhs = parse_land();
@@ -233,7 +284,7 @@ class Parser {
       expr->a = std::move(lhs);
       expr->b = parse_land();
       expr->line = line;
-      lhs = std::move(expr);
+      lhs = checked_binary(std::move(expr));
     }
     return lhs;
   }
@@ -248,7 +299,7 @@ class Parser {
       expr->a = std::move(lhs);
       expr->b = parse_bitor();
       expr->line = line;
-      lhs = std::move(expr);
+      lhs = checked_binary(std::move(expr));
     }
     return lhs;
   }
@@ -375,13 +426,18 @@ class Parser {
     }
   }
 
+  std::unique_ptr<Expr> parse_unary_operand() {
+    Nest nest(*this);
+    return parse_unary();
+  }
+
   std::unique_ptr<Expr> parse_unary() {
     int line = peek().line;
     if (accept(TokKind::kMinus)) {
       auto expr = std::make_unique<Expr>();
       expr->kind = ExprKind::kUnary;
       expr->un = ops::UnOp::kNeg;
-      expr->a = parse_unary();
+      expr->a = parse_unary_operand();
       expr->line = line;
       return expr;
     }
@@ -389,7 +445,7 @@ class Parser {
       auto expr = std::make_unique<Expr>();
       expr->kind = ExprKind::kUnary;
       expr->un = ops::UnOp::kNot;
-      expr->a = parse_unary();
+      expr->a = parse_unary_operand();
       expr->line = line;
       return expr;
     }
@@ -397,7 +453,7 @@ class Parser {
       auto expr = std::make_unique<Expr>();
       expr->kind = ExprKind::kUnary;
       expr->is_lnot = true;
-      expr->a = parse_unary();
+      expr->a = parse_unary_operand();
       expr->line = line;
       return expr;
     }
@@ -451,6 +507,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <utility>
 
+#include "fti/elab/compiled_fsm.hpp"
 #include "fti/elab/levelized.hpp"
 #include "fti/ir/comb_graph.hpp"
 #include "fti/mem/storage.hpp"

@@ -16,6 +16,7 @@
 #include "fti/cache/so_store.hpp"
 #include "fti/codegen/cpp.hpp"
 #include "fti/elab/compiled_abi.hpp"
+#include "fti/elab/compiled_fsm.hpp"
 #include "fti/elab/levelized.hpp"
 #include "fti/obs/metrics.hpp"
 #include "fti/util/error.hpp"

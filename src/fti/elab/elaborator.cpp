@@ -138,19 +138,9 @@ std::unique_ptr<ElaboratedConfig> elaborate(const ir::Configuration& config,
         std::move(reads)));
   }
 
-  std::vector<sim::Net*> control_nets;
-  control_nets.reserve(datapath.control_wires.size());
-  for (const std::string& wire : datapath.control_wires) {
-    control_nets.push_back(&netlist.net(wire));
-  }
-  std::vector<sim::Net*> status_nets;
-  status_nets.reserve(datapath.status_wires.size());
-  for (const std::string& wire : datapath.status_wires) {
-    status_nets.push_back(&netlist.net(wire));
-  }
   elaborated->fsm = &netlist.add_component<FsmExecutor>(
-      config.fsm.name.empty() ? "fsm" : config.fsm.name, config.fsm,
-      datapath, clock, std::move(control_nets), std::move(status_nets));
+      config.fsm.name.empty() ? "fsm" : config.fsm.name, config, netlist,
+      clock);
   elaborated->done = &netlist.net(config.fsm.done_wire);
   return elaborated;
 }

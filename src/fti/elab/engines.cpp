@@ -7,6 +7,7 @@
 
 #include "fti/elab/batched.hpp"
 #include "fti/elab/compiled.hpp"
+#include "fti/elab/compiled_fsm.hpp"
 #include "fti/elab/levelized.hpp"
 #include "fti/obs/metrics.hpp"
 #include "fti/obs/trace.hpp"
@@ -133,23 +134,6 @@ sim::EnginePartition EventEngine::run_partition(
 
 // ---------------------------------------------------------------------------
 // NaiveEngine
-
-sim::FsmCoverage coverage_from_counts(
-    const ir::Fsm& fsm, const std::vector<std::uint64_t>& visits,
-    const std::vector<std::vector<std::uint64_t>>& taken) {
-  sim::FsmCoverage report;
-  report.fsm = fsm.name.empty() ? "fsm" : fsm.name;
-  for (std::size_t i = 0; i < fsm.states.size(); ++i) {
-    report.states.push_back({fsm.states[i].name, visits[i]});
-    for (std::size_t t = 0; t < fsm.states[i].transitions.size(); ++t) {
-      const ir::Transition& transition = fsm.states[i].transitions[t];
-      report.transitions.push_back({fsm.states[i].name, transition.target,
-                                    ir::to_string(transition.guard),
-                                    taken[i][t]});
-    }
-  }
-  return report;
-}
 
 namespace {
 

@@ -32,13 +32,6 @@ namespace fti::elab {
 /// different orders).
 std::vector<std::string> traced_wires(const ir::Datapath& datapath);
 
-/// Builds the coverage report the FsmExecutor produces, from the visit and
-/// per-transition take counters the sweep engines maintain (`visits[i]` /
-/// `taken[i][t]` follow FSM declaration order).
-sim::FsmCoverage coverage_from_counts(
-    const ir::Fsm& fsm, const std::vector<std::uint64_t>& visits,
-    const std::vector<std::vector<std::uint64_t>>& taken);
-
 /// Shared temporal-partition loop: validate the design, run each RTG node
 /// through run_partition, stop early (completed == false) when one misses
 /// its done signal.  Backends implement run_partition only.

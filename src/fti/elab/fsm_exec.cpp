@@ -1,100 +1,53 @@
 #include "fti/elab/fsm_exec.hpp"
 
-#include "fti/util/error.hpp"
+#include <map>
 
 namespace fti::elab {
 
-FsmExecutor::FsmExecutor(std::string name, const ir::Fsm& fsm,
-                         const ir::Datapath& datapath, sim::Net& clock,
-                         std::vector<sim::Net*> control_nets,
-                         std::vector<sim::Net*> status_nets)
-    : Component(std::move(name)), clock_(clock),
-      controls_(std::move(control_nets)), statuses_(std::move(status_nets)) {
-  FTI_ASSERT(controls_.size() == datapath.control_wires.size(),
-             "control net list does not match the datapath");
-  FTI_ASSERT(statuses_.size() == datapath.status_wires.size(),
-             "status net list does not match the datapath");
-
-  auto status_index = [&datapath](const std::string& wire) {
-    for (std::size_t i = 0; i < datapath.status_wires.size(); ++i) {
-      if (datapath.status_wires[i] == wire) {
-        return i;
-      }
+FsmExecutor::FsmExecutor(std::string name, const ir::Configuration& config,
+                         sim::Netlist& netlist, sim::Net& clock)
+    : Component(std::move(name)), ir_(config.fsm), clock_(clock) {
+  std::map<std::string, std::size_t> wire_index;
+  auto add = [&](const std::string& wire) {
+    if (wire_index.emplace(wire, nets_.size()).second) {
+      nets_.push_back(&netlist.net(wire));
     }
-    throw util::IrError("guard uses unknown status wire '" + wire + "'");
   };
-  auto control_index = [&datapath](const std::string& wire) {
-    for (std::size_t i = 0; i < datapath.control_wires.size(); ++i) {
-      if (datapath.control_wires[i] == wire) {
-        return i;
-      }
-    }
-    throw util::IrError("state assigns unknown control wire '" + wire + "'");
-  };
-
-  states_.reserve(fsm.states.size());
-  for (const ir::State& state : fsm.states) {
-    CompiledState compiled;
-    compiled.name = state.name;
-    compiled.control_values.reserve(controls_.size());
-    for (sim::Net* control : controls_) {
-      compiled.control_values.emplace_back(control->width(), 0);
-    }
-    for (const ir::ControlAssign& assign : state.controls) {
-      std::size_t index = control_index(assign.wire);
-      compiled.control_values[index] =
-          sim::Bits(controls_[index]->width(), assign.value);
-    }
-    for (const ir::Transition& transition : state.transitions) {
-      CompiledTransition compiled_transition;
-      compiled_transition.target = fsm.state_index(transition.target);
-      compiled_transition.guard_text = ir::to_string(transition.guard);
-      for (const ir::GuardLiteral& literal : transition.guard.literals) {
-        compiled_transition.literals.push_back(
-            {status_index(literal.status), literal.expected});
-      }
-      compiled.transitions.push_back(std::move(compiled_transition));
-    }
-    states_.push_back(std::move(compiled));
+  for (const std::string& wire : config.datapath.control_wires) {
+    add(wire);
   }
-  current_ = fsm.state_index(fsm.initial);
-  visits_.assign(states_.size(), 0);
+  for (const std::string& wire : config.datapath.status_wires) {
+    add(wire);
+  }
+  fsm_ = compile_fsm(config, wire_index);
+  current_ = fsm_.initial;
+  visits_.assign(fsm_.states.size(), 0);
+  taken_.resize(fsm_.states.size());
+  for (std::size_t s = 0; s < fsm_.states.size(); ++s) {
+    taken_[s].assign(fsm_.states[s].transitions.size(), 0);
+  }
   clock_.add_listener(this, sim::Listen::kRising);
 }
 
 const std::string& FsmExecutor::current_state() const {
-  return states_[current_].name;
+  return ir_.states[current_].name;
 }
 
-void FsmExecutor::drive_controls(sim::Kernel& kernel, bool force) {
-  const CompiledState& state = states_[current_];
-  for (std::size_t i = 0; i < controls_.size(); ++i) {
-    // Skipping unchanged values keeps the event count proportional to
-    // activity, which is the point of event-driven simulation.
-    if (force || controls_[i]->value() != state.control_values[i]) {
-      kernel.schedule(*controls_[i], state.control_values[i], 0);
-    }
+void FsmExecutor::drive(sim::Kernel& kernel,
+                        const std::vector<CompiledFsm::Drive>& drives) {
+  for (const auto& [index, value] : drives) {
+    sim::Net& net = *nets_[index];
+    kernel.schedule(net, sim::Bits(net.width(), value), 0);
   }
 }
 
 void FsmExecutor::initialize(sim::Kernel& kernel) {
   visits_[current_] += 1;
-  drive_controls(kernel, /*force=*/true);
+  drive(kernel, fsm_.power_up);
 }
 
 FsmCoverage FsmExecutor::coverage() const {
-  FsmCoverage report;
-  report.fsm = name();
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    report.states.push_back({states_[i].name, visits_[i]});
-    for (const CompiledTransition& transition : states_[i].transitions) {
-      report.transitions.push_back({states_[i].name,
-                                    states_[transition.target].name,
-                                    transition.guard_text,
-                                    transition.taken});
-    }
-  }
-  return report;
+  return coverage_from_counts(ir_, visits_, taken_);
 }
 
 void FsmExecutor::evaluate(sim::Kernel& kernel) {
@@ -102,24 +55,24 @@ void FsmExecutor::evaluate(sim::Kernel& kernel) {
     return;
   }
   ++steps_;
-  CompiledState& state = states_[current_];
-  for (CompiledTransition& transition : state.transitions) {
+  const CompiledFsm::State& state = fsm_.states[current_];
+  for (std::size_t t = 0; t < state.transitions.size(); ++t) {
+    const CompiledFsm::Transition& transition = state.transitions[t];
     bool taken = true;
-    for (const CompiledLiteral& literal : transition.literals) {
-      bool level = !statuses_[literal.status_index]->value().is_zero();
-      if (level != literal.expected) {
+    for (const auto& [status, expected] : transition.literals) {
+      if (nets_[status]->value().is_zero() == expected) {
         taken = false;
         break;
       }
     }
     if (taken) {
-      ++transition.taken;
+      ++taken_[current_][t];
       current_ = transition.target;
       visits_[current_] += 1;
-      break;
+      drive(kernel, transition.delta);
+      return;
     }
   }
-  drive_controls(kernel, /*force=*/false);
 }
 
 }  // namespace fti::elab

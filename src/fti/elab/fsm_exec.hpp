@@ -7,17 +7,21 @@
 // state's transitions are evaluated (in order, first match wins) against
 // the settled pre-edge status values; the control vector of the new state
 // is then driven in the following delta.  When no guard matches, the
-// machine stays put.
+// machine stays put.  The tables are the shared CompiledFsm, so power-up
+// drives the full initial vector and each taken transition schedules only
+// the controls it changes.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "fti/ir/fsm.hpp"
+#include "fti/elab/compiled_fsm.hpp"
+#include "fti/ir/rtg.hpp"
 #include "fti/sim/component.hpp"
 #include "fti/sim/coverage.hpp"
 #include "fti/sim/kernel.hpp"
+#include "fti/sim/netlist.hpp"
 
 namespace fti::elab {
 
@@ -28,13 +32,11 @@ using FsmCoverage = sim::FsmCoverage;
 
 class FsmExecutor : public sim::Component {
  public:
-  /// `control_nets[i]` is the net for `datapath.control_wires[i]`; same
-  /// for statuses.  The tables are compiled at construction so evaluate()
-  /// is branch-table execution only.
-  FsmExecutor(std::string name, const ir::Fsm& fsm,
-              const ir::Datapath& datapath, sim::Net& clock,
-              std::vector<sim::Net*> control_nets,
-              std::vector<sim::Net*> status_nets);
+  /// Compiles `config.fsm` against the control and status nets of
+  /// `netlist`.  `config` must have passed ir::validate and must outlive
+  /// the executor (coverage() reads its state names and guards).
+  FsmExecutor(std::string name, const ir::Configuration& config,
+              sim::Netlist& netlist, sim::Net& clock);
 
   void initialize(sim::Kernel& kernel) override;
   void evaluate(sim::Kernel& kernel) override;
@@ -53,32 +55,18 @@ class FsmExecutor : public sim::Component {
   FsmCoverage coverage() const;
 
  private:
-  struct CompiledLiteral {
-    std::size_t status_index;
-    bool expected;
-  };
-  struct CompiledTransition {
-    std::vector<CompiledLiteral> literals;
-    std::size_t target;
-    std::string guard_text;
-    std::uint64_t taken = 0;
-  };
-  struct CompiledState {
-    std::string name;
-    /// Values for every control net, in control_nets order.
-    std::vector<sim::Bits> control_values;
-    std::vector<CompiledTransition> transitions;
-  };
+  void drive(sim::Kernel& kernel,
+             const std::vector<CompiledFsm::Drive>& drives);
 
-  void drive_controls(sim::Kernel& kernel, bool force);
-
+  const ir::Fsm& ir_;
   sim::Net& clock_;
-  std::vector<sim::Net*> controls_;
-  std::vector<sim::Net*> statuses_;
-  std::vector<CompiledState> states_;
+  /// The control and status nets, indexed as `fsm_` refers to them.
+  std::vector<sim::Net*> nets_;
+  CompiledFsm fsm_;
   std::size_t current_ = 0;
   std::uint64_t steps_ = 0;
   std::vector<std::uint64_t> visits_;
+  std::vector<std::vector<std::uint64_t>> taken_;
 };
 
 }  // namespace fti::elab

@@ -5,6 +5,7 @@
 #include <map>
 #include <utility>
 
+#include "fti/elab/compiled_fsm.hpp"
 #include "fti/ir/comb_graph.hpp"
 #include "fti/obs/metrics.hpp"
 #include "fti/ops/alu.hpp"
@@ -86,57 +87,6 @@ LevelizedSchedule build_levelized_schedule(const ir::Datapath& datapath) {
     throw util::SimError(message);
   }
   return schedule;
-}
-
-CompiledFsm compile_fsm(const ir::Configuration& config,
-                        const std::map<std::string, std::size_t>& wire_index) {
-  const std::vector<std::string>& control_wires =
-      config.datapath.control_wires;
-  // A wire listed twice among the controls takes the same value at both
-  // positions.
-  std::map<std::string, std::vector<std::size_t>> positions;
-  for (std::size_t c = 0; c < control_wires.size(); ++c) {
-    positions[control_wires[c]].push_back(c);
-  }
-  // Each state's full control vector; unassigned wires are zero.
-  std::vector<std::vector<std::uint64_t>> vectors;
-  for (const ir::State& state : config.fsm.states) {
-    std::vector<std::uint64_t> vector(control_wires.size(), 0);
-    for (const ir::ControlAssign& assign : state.controls) {
-      for (std::size_t c : positions.at(assign.wire)) {
-        vector[c] = assign.value;
-      }
-    }
-    vectors.push_back(std::move(vector));
-  }
-
-  CompiledFsm fsm;
-  for (std::size_t s = 0; s < config.fsm.states.size(); ++s) {
-    CompiledFsm::State compiled;
-    for (const ir::Transition& transition :
-         config.fsm.states[s].transitions) {
-      CompiledFsm::Transition ct;
-      for (const ir::GuardLiteral& literal : transition.guard.literals) {
-        ct.literals.emplace_back(wire_index.at(literal.status),
-                                 literal.expected);
-      }
-      ct.target = config.fsm.state_index(transition.target);
-      for (std::size_t c = 0; c < control_wires.size(); ++c) {
-        if (vectors[ct.target][c] != vectors[s][c]) {
-          ct.delta.emplace_back(wire_index.at(control_wires[c]),
-                                vectors[ct.target][c]);
-        }
-      }
-      compiled.transitions.push_back(std::move(ct));
-    }
-    fsm.states.push_back(std::move(compiled));
-  }
-  fsm.initial = config.fsm.state_index(config.fsm.initial);
-  for (std::size_t c = 0; c < control_wires.size(); ++c) {
-    fsm.power_up.emplace_back(wire_index.at(control_wires[c]),
-                              vectors[fsm.initial][c]);
-  }
-  return fsm;
 }
 
 namespace {

@@ -15,10 +15,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "fti/elab/engines.hpp"
@@ -44,39 +42,6 @@ struct LevelizedSchedule {
 /// read paths).  Throws SimError naming the units on a combinational
 /// cycle.
 LevelizedSchedule build_levelized_schedule(const ir::Datapath& datapath);
-
-/// A configuration's FSM with every wire resolved to an interpreter's
-/// dense index.  Controls are Moore outputs, and ir::validate rejects any
-/// unit that drives a control wire, so only the FSM ever writes one.
-/// Driving `power_up` once and then committing each taken transition's
-/// `delta` therefore keeps every control wire equal to the current
-/// state's vector, with exactly the change-detected commits (events,
-/// trace entries) that re-driving the full vector every cycle would make.
-struct CompiledFsm {
-  /// One control write: (wire index, value).
-  using Drive = std::pair<std::size_t, std::uint64_t>;
-  struct Transition {
-    /// (status wire index, expected level); the transition is taken when
-    /// every literal holds.
-    std::vector<std::pair<std::size_t, bool>> literals;
-    std::size_t target;
-    /// The controls whose value in `target` differs from the source's.
-    std::vector<Drive> delta;
-  };
-  struct State {
-    std::vector<Transition> transitions;
-  };
-  std::vector<State> states;
-  std::size_t initial = 0;
-  /// The initial state's full control vector in datapath.control_wires
-  /// order (unassigned wires are zero).
-  std::vector<Drive> power_up;
-};
-
-/// Compiles `config.fsm` against `wire_index` (wire name -> the
-/// interpreter's index for it).  `config` must have passed ir::validate.
-CompiledFsm compile_fsm(const ir::Configuration& config,
-                        const std::map<std::string, std::size_t>& wire_index);
 
 /// Shared handle to an immutable schedule.  The steps point into the
 /// datapath the schedule was built from, so the handle's owner must

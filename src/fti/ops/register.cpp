@@ -12,7 +12,14 @@ Register::Register(std::string name, sim::Net& clock, sim::Net& d,
       reset_value_(reset_value.resized(q.width())) {
   FTI_ASSERT(d_.width() == q_.width(),
              "register '" + this->name() + "' d/q width mismatch");
-  clock_.add_listener(this, sim::Listen::kRising);
+  // With an enable, the register sleeps through edges where both enable
+  // and reset are 0 -- the edges evaluate() would ignore.  Without one it
+  // loads on every edge, so every edge must wake it.
+  if (enable_ != nullptr) {
+    clock_.add_listener(this, sim::Listen::kRising, {enable_, reset_});
+  } else {
+    clock_.add_listener(this, sim::Listen::kRising);
+  }
 }
 
 void Register::initialize(sim::Kernel& kernel) {

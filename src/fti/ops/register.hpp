@@ -12,7 +12,8 @@ class Register : public sim::Component {
   /// `enable` and `reset` may be nullptr (always-enabled / never reset).
   /// On a rising clock edge: reset wins over enable; the captured data is
   /// the pre-edge value of `d` (the register is only sensitive to the
-  /// clock, so classic synchronous semantics hold).
+  /// clock, so classic synchronous semantics hold).  A register with an
+  /// enable is woken only on edges where enable or reset is nonzero.
   Register(std::string name, sim::Net& clock, sim::Net& d, sim::Net& q,
            sim::Net* enable = nullptr, sim::Net* reset = nullptr,
            sim::Bits reset_value = sim::Bits());

@@ -1,5 +1,7 @@
 #include "fti/sim/kernel.hpp"
 
+#include <bit>
+
 #include "fti/util/error.hpp"
 
 namespace fti::sim {
@@ -18,7 +20,19 @@ void Kernel::preset(Net& net, const Bits& value) {
     throw util::SimError("preset() of net '" + net.name() +
                          "' after the run started -- use schedule()");
   }
+  bool was_zero = net.value().is_zero();
   net.preset(value);
+  if (was_zero != net.value().is_zero()) {
+    gate_crossed(net, was_zero);
+  }
+}
+
+void Kernel::gate_crossed(Net& net, bool was_zero) {
+  for (const GateRef& ref : net.gated_) {
+    std::uint32_t& active = ref.owner->listeners_[ref.listener].active_gates;
+    active = was_zero ? active + 1 : active - 1;
+    ref.owner->sync_rise_wake(ref.listener);
+  }
 }
 
 void Kernel::request_stop(std::string reason) {
@@ -38,20 +52,34 @@ void Kernel::apply_batch(const std::vector<Event>& batch) {
   ++activation_id_;
   ++stats_.delta_cycles;
   wake_list_.clear();
-  changed_nets_.clear();
+  changes_.clear();
   for (const Event& event : batch) {
     ++stats_.events;
-    if (event.net->commit(event.value, activation_id_)) {
-      changed_nets_.push_back(event.net);
-      bool rose = !event.net->prev_value().bit_at(0) &&
-                  event.net->value().bit_at(0);
-      // A component woken by several nets still evaluates once: the
-      // activation stamp deduplicates in O(1) per listener.
-      for (const ListenerRec& rec : event.net->listeners()) {
-        if ((rec.mode == Listen::kAny || rose) &&
-            rec.component->wake_stamp_ != activation_id_) {
-          rec.component->wake_stamp_ = activation_id_;
-          wake_list_.push_back(rec.component);
+    Net& net = *event.net;
+    bool was_zero = net.value().is_zero();
+    if (net.commit(event.value, activation_id_)) {
+      changes_.push_back(
+          {&net, !net.prev_value().bit_at(0) && net.value().bit_at(0)});
+      if (was_zero != net.value().is_zero()) {
+        gate_crossed(net, was_zero);
+      }
+    }
+  }
+  // Wakes are collected only once the whole batch has committed, so a
+  // gate changing in the same batch as the clock counts with its new value.
+  for (const Change& change : changes_) {
+    const Net& net = *change.net;
+    const std::vector<std::uint64_t>& wakes =
+        change.rose ? net.rise_wake_ : net.any_wake_;
+    for (std::size_t word = 0; word < wakes.size(); ++word) {
+      for (std::uint64_t bits = wakes[word]; bits != 0; bits &= bits - 1) {
+        Component* component =
+            net.listeners_[word * 64 + std::countr_zero(bits)].component;
+        // A component woken by several nets still evaluates once: the
+        // activation stamp deduplicates in O(1) per listener.
+        if (component->wake_stamp_ != activation_id_) {
+          component->wake_stamp_ = activation_id_;
+          wake_list_.push_back(component);
         }
       }
     }
@@ -119,8 +147,8 @@ Kernel::StopReason Kernel::run(Time max_time, const Net* done_net) {
       component->evaluate(*this);
     }
     if (tracer_ != nullptr) {
-      for (const Net* net : changed_nets_) {
-        tracer_->on_change(now_, *net);
+      for (const Change& change : changes_) {
+        tracer_->on_change(now_, *change.net);
       }
     }
     if (stop_requested_) {

@@ -4,10 +4,18 @@
 //  * Components never write nets; they schedule updates.  A zero delay
 //    means "next delta cycle at the current time"; a positive delay moves
 //    the update into the future.
-//  * At each (time, delta) the kernel commits the batch of scheduled
-//    updates, wakes the listeners of every net that actually changed and
-//    evaluates each listener once.  New zero-delay updates form the next
-//    delta; when no delta remains, time advances to the earliest event.
+//  * At each (time, delta) the kernel commits the whole batch of
+//    scheduled updates, then wakes the listeners of every net that
+//    actually changed (in commit order) and evaluates each listener once.
+//    New zero-delay updates form the next delta; when no delta remains,
+//    time advances to the earliest event.
+//  * Gated rising-edge listeners (registers with an enable) are woken
+//    only while one of their gate nets is nonzero.  The kernel keeps a
+//    count of nonzero gates per listener, updated whenever a commit or a
+//    preset moves a gate net across zero; because the whole batch commits
+//    before any wake, a gate changing in the same batch as the clock
+//    counts with its new value, exactly as the listener's own check would
+//    read it.
 //  * A per-timestep delta limit converts combinational loops into a
 //    SimError instead of a hang -- a test infrastructure must fail loudly.
 //  * Timed events live in a bucketed calendar queue (see event_wheel.hpp)
@@ -100,15 +108,25 @@ class Kernel {
   void set_max_deltas(std::uint32_t max_deltas) { max_deltas_ = max_deltas; }
 
  private:
+  /// One commit that changed its net; `rose` is whether that commit
+  /// raised bit 0 (a net may change twice in one batch).
+  struct Change {
+    const Net* net;
+    bool rose;
+  };
+
   void initialize_components();
-  /// Commits one batch of updates, returns the woken components.
+  /// Updates the gate counts (and rising wake bits) of the listeners
+  /// `net` gates, after `net` crossed zero; `was_zero` is its old state.
+  void gate_crossed(Net& net, bool was_zero);
+  /// Commits one batch of updates, then collects the woken components.
   void apply_batch(const std::vector<Event>& batch);
 
   Netlist& netlist_;
   EventWheel wheel_;
   std::vector<Event> next_delta_;
   std::vector<Component*> wake_list_;
-  std::vector<const Net*> changed_nets_;
+  std::vector<Change> changes_;
   Time now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t activation_id_ = 0;

@@ -7,6 +7,7 @@
 //                    so that a corrupted simulation never "verifies" a design.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -66,6 +67,14 @@ class CancelledError : public Error {
   explicit CancelledError(const std::string& message)
       : Error("cancelled", message) {}
 };
+
+/// Deepest nesting the recursive-descent parsers accept: JSON arrays and
+/// objects, XML elements, and kernel-source statements and expressions.
+/// Each parser recurses once per level, so a fixed cap keeps hostile input
+/// (200,000 nested `[`, `<a>` or `(`) from overflowing the stack and keeps
+/// the trees handed to recursive walkers shallow; past it the parser raises
+/// its typed error.  Real inputs stay within a handful of levels.
+inline constexpr std::size_t kMaxNestingDepth = 256;
 
 /// Aborts with a readable message; used for internal invariants only.
 [[noreturn]] void assert_fail(const char* expr, const char* file, int line,

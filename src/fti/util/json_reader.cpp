@@ -71,8 +71,8 @@ class Parser {
     switch (c) {
       case '{':
       case '[': {
-        if (depth_ == kMaxJsonDepth) {
-          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+        if (depth_ == kMaxNestingDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxNestingDepth) +
                " levels");
         }
         ++depth_;

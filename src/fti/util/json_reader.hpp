@@ -62,15 +62,10 @@ struct JsonValue {
   bool as_bool() const;
 };
 
-/// Deepest array/object nesting parse_json accepts.  The parser recurses
-/// once per level, so a fixed cap keeps hostile input (one request line
-/// of 200,000 `[`) from overflowing the stack; real documents stay
-/// within a handful of levels.
-inline constexpr std::size_t kMaxJsonDepth = 256;
-
 /// Parses one JSON document; trailing non-whitespace is an error.
 /// Throws JsonError with a line:column position on malformed input,
-/// including nesting deeper than kMaxJsonDepth.
+/// including array/object nesting deeper than kMaxNestingDepth
+/// (util/error.hpp).
 JsonValue parse_json(std::string_view text);
 
 }  // namespace fti::util

@@ -302,7 +302,13 @@ class Parser {
           return element;
         }
         flush_text();
+        if (depth_ == util::kMaxNestingDepth) {
+          fail("elements nested deeper than " +
+               std::to_string(util::kMaxNestingDepth) + " levels");
+        }
+        ++depth_;
         element->adopt_child(parse_element());
+        --depth_;
       } else if (c == '&') {
         advance();
         text_run += parse_entity();
@@ -315,6 +321,8 @@ class Parser {
   std::string_view text_;
   std::size_t pos_ = 0;
   int line_ = 1;
+  /// Nesting level of the element being parsed; the root is 1.
+  std::size_t depth_ = 1;
 };
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fti/compiler/lexer.hpp"
 #include "fti/compiler/parser.hpp"
 #include "fti/compiler/sema.hpp"
@@ -136,6 +139,66 @@ TEST(Parser, Errors) {
                util::CompileError);
   EXPECT_THROW(parse_expression("1 +"), util::CompileError);
   EXPECT_THROW(parse_expression("(1"), util::CompileError);
+}
+
+TEST(Parser, NestingBeyondTheDepthCapIsATypedError) {
+  auto repeat = [](const std::string& piece, std::size_t count) {
+    std::string text;
+    for (std::size_t i = 0; i < count; ++i) {
+      text += piece;
+    }
+    return text;
+  };
+  auto assign = [](const std::string& expr) {
+    return "kernel k(int a[2]) { a[0] = " + expr + "; }";
+  };
+  auto body = [](const std::string& stmts) {
+    return "kernel k(int a[2]) { " + stmts + " }";
+  };
+  auto parens = [&](std::size_t n) {
+    return repeat("(", n) + "1" + repeat(")", n);
+  };
+  auto chain = [&](std::size_t n) { return "1" + repeat(" + 1", n); };
+  auto blocks = [&](std::size_t n) {
+    return repeat("{", n) + "a[0] = 1;" + repeat("}", n);
+  };
+
+  // Ordinary nesting well inside the cap parses.
+  EXPECT_NO_THROW(parse_program(assign(parens(100))));
+  EXPECT_NO_THROW(parse_program(assign(repeat("-", 100) + "1")));
+  EXPECT_NO_THROW(parse_program(assign(chain(200))));
+  EXPECT_NO_THROW(parse_program(body(blocks(100))));
+  EXPECT_NO_THROW(parse_expression(parens(100)));
+
+  // Each shape far past the cap is a CompileError, not a stack overflow
+  // in the parser or in a later walk of (or the destructor of) a deep
+  // tree.  Operator chains are loops in the parser but left-deep trees,
+  // so they are bounded too.
+  const std::size_t deep = 100000;
+  const std::vector<std::string> hostile = {
+      assign(parens(deep)),
+      assign(repeat("-", deep) + "1"),
+      assign(repeat("~!", deep / 2) + "1"),
+      assign(chain(deep)),
+      assign(repeat("1 || ", deep) + "1"),
+      assign("a[" + repeat("a[", deep) + "0" + repeat("]", deep) + "]"),
+      assign(repeat("abs(", deep) + "1" + repeat(")", deep)),
+      body(blocks(deep)),
+      body(repeat("if (1) ", deep) + "a[0] = 1;"),
+      body("if (a[0]) a[1] = 1;" + repeat(" else if (a[0]) a[1] = 1;", deep)),
+      body(repeat("while (a[0]) ", deep) + "a[0] = 0;"),
+  };
+  for (const std::string& source : hostile) {
+    try {
+      parse_program(source);
+      FAIL() << "parsed: " << source.substr(0, 60);
+    } catch (const util::CompileError& error) {
+      EXPECT_NE(std::string(error.what()).find("nesting deeper than 256"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_THROW(parse_expression(parens(deep)), util::CompileError);
 }
 
 TEST(Sema, SymbolClassification) {

@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "fti/compiler/hls.hpp"
 #include "fti/elab/elaborator.hpp"
+#include "fti/elab/engines.hpp"
+#include "fti/golden/fdct.hpp"
+#include "fti/golden/hamming.hpp"
+#include "fti/golden/rng.hpp"
 #include "fti/elab/rtg_exec.hpp"
 #include "fti/sim/probe.hpp"
 #include "fti/sim/vcd.hpp"
@@ -257,6 +266,123 @@ TEST(Coverage, PerPartitionReports) {
         << partition.coverage.to_string();
     EXPECT_FALSE(partition.coverage.states.empty());
   }
+}
+
+}  // namespace
+}  // namespace fti::elab
+
+// ---------------------------------------------------------------------------
+// The event engine's activity-driven clock edge (enable-gated register
+// wakeups, per-transition control deltas) against the levelized engine,
+// which shares no scheduling code with it, on small paper workloads.
+
+namespace fti::elab {
+namespace {
+
+void expect_same_coverage(const sim::FsmCoverage& event,
+                          const sim::FsmCoverage& levelized) {
+  EXPECT_EQ(event.fsm, levelized.fsm);
+  ASSERT_EQ(event.states.size(), levelized.states.size());
+  for (std::size_t i = 0; i < event.states.size(); ++i) {
+    EXPECT_EQ(event.states[i].name, levelized.states[i].name);
+    EXPECT_EQ(event.states[i].visits, levelized.states[i].visits)
+        << event.states[i].name;
+  }
+  ASSERT_EQ(event.transitions.size(), levelized.transitions.size());
+  for (std::size_t i = 0; i < event.transitions.size(); ++i) {
+    const auto& a = event.transitions[i];
+    const auto& b = levelized.transitions[i];
+    EXPECT_EQ(a.from, b.from);
+    EXPECT_EQ(a.to, b.to);
+    EXPECT_EQ(a.guard, b.guard);
+    EXPECT_EQ(a.taken, b.taken) << a.from << " -> " << a.to;
+  }
+}
+
+struct Workload {
+  const char* name;
+  std::string source;
+  std::map<std::string, std::int64_t> scalar_args;
+  std::map<std::string, std::vector<std::uint64_t>> inputs;
+};
+
+void PrintTo(const Workload& workload, std::ostream* os) {
+  *os << workload.name;
+}
+
+class EventMatchesLevelized : public ::testing::TestWithParam<Workload> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperWorkloads, EventMatchesLevelized,
+    ::testing::Values(
+        Workload{"fdct1", golden::fdct_source(1, false), {{"nblocks", 1}},
+                 {{"in", golden::make_test_image(64)}}},
+        Workload{"fdct2", golden::fdct_source(1, true), {{"nblocks", 1}},
+                 {{"in", golden::make_test_image(64)}}},
+        Workload{"hamming", golden::hamming_source(32), {{"n", 32}},
+                 {{"code", golden::make_codewords(32, 7, 3)}}}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(EventMatchesLevelized, FinalsTracesCyclesCoverageAndMemories) {
+  compiler::CompileOptions options;
+  options.scalar_args = GetParam().scalar_args;
+  options.rom_contents = GetParam().inputs;  // power-up memory contents
+  ir::Design design = compiler::compile_source(GetParam().source, options)
+                          .design;
+  sim::EngineRunOptions run_options;
+  run_options.collect_wire_data = true;
+  run_options.max_cycles_per_partition = 100000;  // a stuck FSM fails
+
+  mem::MemoryPool event_pool;
+  sim::EngineResult event =
+      make_engine("event")->run(design, event_pool, run_options);
+  mem::MemoryPool levelized_pool;
+  sim::EngineResult levelized =
+      make_engine("levelized")->run(design, levelized_pool, run_options);
+
+  ASSERT_TRUE(event.completed);
+  ASSERT_TRUE(levelized.completed);
+  ASSERT_EQ(event.partitions.size(), levelized.partitions.size());
+  for (std::size_t p = 0; p < event.partitions.size(); ++p) {
+    const sim::EnginePartition& a = event.partitions[p];
+    const sim::EnginePartition& b = levelized.partitions[p];
+    SCOPED_TRACE(a.node);
+    EXPECT_EQ(a.node, b.node);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.finals, b.finals);
+    EXPECT_EQ(a.traces, b.traces);
+    expect_same_coverage(a.coverage, b.coverage);
+    EXPECT_TRUE(a.coverage.full()) << a.coverage.to_string();
+    // Guarded transitions exist, so the taken counts compare real
+    // branching, not just the unconditional steps.
+    EXPECT_TRUE(std::any_of(
+        a.coverage.transitions.begin(), a.coverage.transitions.end(),
+        [](const auto& t) { return t.guard != "1" && t.taken > 0; }));
+  }
+  for (const std::string& array : event_pool.names()) {
+    EXPECT_EQ(event_pool.get(array).words(),
+              levelized_pool.get(array).words())
+        << array;
+  }
+}
+
+TEST(EventKernelCounts, AccumulatorEventsAndDeltasArePinned) {
+  // Values from the ungated kernel: gating removes only evaluations that
+  // would have scheduled nothing, so every committed event, delta cycle
+  // and timestep stays where it was.
+  mem::MemoryPool pool;
+  sim::EngineRunOptions options;
+  options.max_cycles_per_partition = 1000;
+  sim::EngineResult result = make_engine("event")->run(
+      ir::make_single_design("acc_design",
+                             fti::testing::make_accumulator(25)),
+      pool, options);
+  ASSERT_TRUE(result.completed);
+  const sim::KernelStats& stats = result.partitions[0].stats;
+  EXPECT_EQ(result.partitions[0].cycles, 26u);
+  EXPECT_EQ(stats.events, 138u);
+  EXPECT_EQ(stats.delta_cycles, 104u);
+  EXPECT_EQ(stats.timesteps, 52u);
 }
 
 }  // namespace

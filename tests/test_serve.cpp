@@ -87,6 +87,27 @@ TEST_F(ServeTest, DeeplyNestedRequestFailsSoftlyAndDaemonKeepsAnswering) {
   EXPECT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
 }
 
+TEST_F(ServeTest, DeeplyNestedKernelFailsSoftlyAndDaemonKeepsAnswering) {
+  // A verify job reaches the kernel parser through a path: 100,000 nested
+  // `(` must fail that one job as an input error, not take the daemon
+  // down.
+  std::filesystem::path kernel = unique_socket("deep_kernel");
+  kernel.replace_extension(".k");
+  util::write_file(kernel, "kernel k(int a[2]) { a[0] = " +
+                               std::string(100000, '(') + "1" +
+                               std::string(100000, ')') + "; }\n");
+  util::JsonValue reply = roundtrip("{\"cmd\": \"verify\", \"kernel\": \"" +
+                                    kernel.string() + "\"}");
+  std::filesystem::remove(kernel);
+  ASSERT_TRUE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("status").as_string(), "error");
+  EXPECT_EQ(reply.at("exit_code").as_u64(), 2u);
+  EXPECT_NE(reply.at("errors").as_string().find("nesting deeper than"),
+            std::string::npos)
+      << reply.at("errors").as_string();
+  EXPECT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
+}
+
 TEST_F(ServeTest, WarmResubmissionHitsCacheWithIdenticalReport) {
   std::string submit = "{\"cmd\": \"verify\", \"kernel\": \"" +
                        kernel_path("saxpy.k").string() + "\"}";

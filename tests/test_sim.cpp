@@ -5,6 +5,7 @@
 #include "fti/elab/engines.hpp"
 #include "fti/ops/clock.hpp"
 #include "fti/ops/constant.hpp"
+#include "fti/ops/register.hpp"
 #include "fti/sim/bits.hpp"
 #include "fti/sim/kernel.hpp"
 #include "fti/sim/probe.hpp"
@@ -543,6 +544,274 @@ TEST(Vcd, SkipsRedundantValues) {
   EXPECT_NE(dump.find("b0100 !"), std::string::npos);
   std::size_t first = dump.find("b0011 !");
   EXPECT_EQ(dump.find("b0011 !", first + 1), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Enable-gated rising-edge listeners.  A register with an enable is woken
+// only on edges where enable or reset is nonzero; these tests hold it to
+// the register rule as it reads without gating.
+
+/// The register rule with an ungated clock listener: woken on every
+/// rising edge, it decides from reset and enable itself.  The oracle the
+/// gated ops::Register must match edge for edge.
+class UngatedRegister : public Component {
+ public:
+  UngatedRegister(Net& clock, Net& d, Net& q, Net* enable, Net* reset,
+                  Bits reset_value)
+      : Component("ungated"), clock_(clock), d_(d), q_(q), enable_(enable),
+        reset_(reset), reset_value_(reset_value) {
+    clock_.add_listener(this, Listen::kRising);
+  }
+  void initialize(Kernel& kernel) override {
+    kernel.schedule(q_, reset_value_, 0);
+  }
+  void evaluate(Kernel& kernel) override {
+    if (!kernel.rising(clock_)) {
+      return;
+    }
+    if (reset_ != nullptr && !reset_->value().is_zero()) {
+      kernel.schedule(q_, reset_value_, 0);
+    } else if (enable_ == nullptr || !enable_->value().is_zero()) {
+      kernel.schedule(q_, d_.value(), 0);
+    }
+  }
+
+ private:
+  Net& clock_;
+  Net& d_;
+  Net& q_;
+  Net* enable_;
+  Net* reset_;
+  Bits reset_value_;
+};
+
+/// A seeded 0/1 script with a toggle every few time units, some of them
+/// on rising edges (t = 5 + 10k for a period-10 clock).
+std::vector<std::pair<Time, Bits>> toggles(std::uint32_t seed, Time until) {
+  std::vector<std::pair<Time, Bits>> script;
+  std::uint32_t state = seed;
+  bool level = false;
+  for (Time t = 1; t < until;) {
+    state = state * 1103515245u + 12345u;
+    t += 1 + (state >> 16) % 13;
+    level = !level;
+    script.emplace_back(t, Bits::bit(level));
+  }
+  return script;
+}
+
+struct RegisterCase {
+  const char* name;
+  bool enable;
+  bool reset;
+};
+
+void PrintTo(const RegisterCase& param, std::ostream* os) { *os << param.name; }
+
+class RegisterPorts : public ::testing::TestWithParam<RegisterCase> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Ports, RegisterPorts,
+    ::testing::Values(RegisterCase{"en_only", true, false},
+                      RegisterCase{"rst_only", false, true},
+                      RegisterCase{"en_rst", true, true},
+                      RegisterCase{"ungated", false, false}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(RegisterPorts, GatedRegisterMatchesTheUngatedRule) {
+  const RegisterCase& param = GetParam();
+  const Time until = 2000;
+  Netlist netlist;
+  Net& clock = netlist.create_net("clk", 1);
+  Net& d = netlist.create_net("d", 8);
+  Net& en = netlist.create_net("en", 1);
+  Net& rst = netlist.create_net("rst", 1);
+  Net& q = netlist.create_net("q", 8);
+  Net& q_ref = netlist.create_net("q_ref", 8);
+  netlist.add_component<ops::ClockGen>("cg", clock, 10, until / 10);
+  std::vector<std::pair<Time, Bits>> data;
+  for (Time t = 3; t < until; t += 7) {
+    data.emplace_back(t, Bits(8, t & 0xff));
+  }
+  netlist.add_component<Scripted>(d, data);
+  netlist.add_component<Scripted>(en, toggles(7, until));
+  netlist.add_component<Scripted>(rst, toggles(1234, until));
+  Net* enable = param.enable ? &en : nullptr;
+  Net* reset = param.reset ? &rst : nullptr;
+  ops::Register& reg = netlist.add_component<ops::Register>(
+      "r", clock, d, q, enable, reset, Bits(8, 0x5a));
+  netlist.add_component<UngatedRegister>(clock, d, q_ref, enable, reset,
+                                         Bits(8, 0x5a));
+  Probe& probe = netlist.add_component<Probe>("pq", q);
+  Probe& probe_ref = netlist.add_component<Probe>("pq_ref", q_ref);
+  Kernel kernel(netlist);
+  kernel.run();
+
+  ASSERT_GT(probe_ref.change_count(), 20u);
+  ASSERT_EQ(probe.samples().size(), probe_ref.samples().size());
+  for (std::size_t i = 0; i < probe.samples().size(); ++i) {
+    EXPECT_EQ(probe.samples()[i].time, probe_ref.samples()[i].time) << i;
+    EXPECT_EQ(probe.samples()[i].value, probe_ref.samples()[i].value) << i;
+  }
+  EXPECT_GT(reg.load_count(), 0u);
+}
+
+TEST(GatedRegister, ResetWinsWhileEnableIsLow) {
+  Netlist netlist;
+  Net& clock = netlist.create_net("clk", 1);
+  Net& d = netlist.create_net("d", 8);
+  Net& en = netlist.create_net("en", 1);
+  Net& rst = netlist.create_net("rst", 1);
+  Net& q = netlist.create_net("q", 8);
+  netlist.add_component<ops::ClockGen>("cg", clock, 10, 8);
+  // Load 42 on the edge at t=15, drop the enable for good, then pulse
+  // reset across the edge at t=45.
+  netlist.add_component<Scripted>(
+      en, std::vector<std::pair<Time, Bits>>{{12, Bits::bit(true)},
+                                             {18, Bits::bit(false)}});
+  netlist.add_component<Scripted>(
+      rst, std::vector<std::pair<Time, Bits>>{{42, Bits::bit(true)},
+                                              {48, Bits::bit(false)}});
+  Kernel kernel(netlist);
+  kernel.preset(d, Bits(8, 42));
+  netlist.add_component<ops::Register>("r", clock, d, q, &en, &rst,
+                                       Bits(8, 7));
+  Probe& probe = netlist.add_component<Probe>("pq", q);
+  kernel.run();
+  ASSERT_EQ(probe.samples().size(), 3u);
+  EXPECT_EQ(probe.samples()[0].value.u(), 7u);  // power-up
+  EXPECT_EQ(probe.samples()[1].time, 15u);
+  EXPECT_EQ(probe.samples()[1].value.u(), 42u);
+  EXPECT_EQ(probe.samples()[2].time, 45u);
+  EXPECT_EQ(probe.samples()[2].value.u(), 7u);
+}
+
+/// At every falling clock edge, schedules a one-unit enable pulse that
+/// lands on the next rising edge -- in the same batch as the clock
+/// event, and after it in scheduling order, since the clock generator
+/// (registered on the clock first) scheduled that edge earlier in the
+/// same evaluation pass.
+class EnableOnNextEdge : public Component {
+ public:
+  EnableOnNextEdge(Net& clock, Net& enable, Time half_period)
+      : Component("enable_on_next_edge"), clock_(clock), enable_(enable),
+        half_period_(half_period) {
+    clock_.add_listener(this);
+  }
+  void evaluate(Kernel& kernel) override {
+    if (kernel.changed(clock_) && !clock_.value().bit_at(0) && !fired_) {
+      fired_ = true;
+      kernel.schedule(enable_, Bits::bit(true), half_period_);
+      kernel.schedule(enable_, Bits::bit(false), half_period_ + 1);
+    }
+  }
+
+ private:
+  Net& clock_;
+  Net& enable_;
+  Time half_period_;
+  bool fired_ = false;
+};
+
+TEST(GatedRegister, EnableCommittedInTheClockEdgeBatchStillLoads) {
+  Netlist netlist;
+  Net& clock = netlist.create_net("clk", 1);
+  Net& d = netlist.create_net("d", 8);
+  Net& en = netlist.create_net("en", 1);
+  Net& q = netlist.create_net("q", 8);
+  netlist.add_component<ops::ClockGen>("cg", clock, 10, 4);
+  netlist.add_component<EnableOnNextEdge>(clock, en, 5);
+  ops::Register& reg =
+      netlist.add_component<ops::Register>("r", clock, d, q, &en);
+  Probe& probe = netlist.add_component<Probe>("pq", q);
+  Kernel kernel(netlist);
+  kernel.preset(d, Bits(8, 42));
+  kernel.run();
+  EXPECT_EQ(reg.load_count(), 1u);
+  ASSERT_EQ(probe.samples().size(), 1u);
+  EXPECT_EQ(probe.samples()[0].time, 15u);
+  EXPECT_EQ(probe.samples()[0].value.u(), 42u);
+}
+
+TEST(GatedRegister, PresetEnableLoadsAtTheFirstEdge) {
+  // One register is built before the enable is preset, one after it.
+  Netlist netlist;
+  Net& clock = netlist.create_net("clk", 1);
+  Net& d = netlist.create_net("d", 8);
+  Net& en = netlist.create_net("en", 1);
+  Net& q = netlist.create_net("q", 8);
+  Net& q_late = netlist.create_net("q_late", 8);
+  netlist.add_component<ops::ClockGen>("cg", clock, 10, 1);
+  ops::Register& reg =
+      netlist.add_component<ops::Register>("r", clock, d, q, &en);
+  Kernel kernel(netlist);
+  kernel.preset(en, Bits::bit(true));
+  kernel.preset(d, Bits(8, 42));
+  ops::Register& late =
+      netlist.add_component<ops::Register>("r_late", clock, d, q_late, &en);
+  kernel.run();
+  EXPECT_EQ(reg.load_count(), 1u);
+  EXPECT_EQ(q.u(), 42u);
+  EXPECT_EQ(late.load_count(), 1u);
+  EXPECT_EQ(q_late.u(), 42u);
+}
+
+/// Evaluations of `count` registers whose enables stay 0 for 50 cycles.
+std::uint64_t idle_register_evaluations(std::size_t count) {
+  Netlist netlist;
+  Net& clock = netlist.create_net("clk", 1);
+  netlist.add_component<ops::ClockGen>("cg", clock, 10, 50);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::string tag = std::to_string(i);
+    netlist.add_component<ops::Register>(
+        "r" + tag, clock, netlist.create_net("d" + tag, 8),
+        netlist.create_net("q" + tag, 8), &netlist.create_net("en" + tag, 1),
+        &netlist.create_net("rst" + tag, 1));
+  }
+  Kernel kernel(netlist);
+  kernel.run();
+  return kernel.stats().evaluations;
+}
+
+TEST(GatedRegister, NeverEnabledRegistersCostNoEvaluations) {
+  std::uint64_t one = idle_register_evaluations(1);
+  EXPECT_EQ(idle_register_evaluations(64), one);
+  EXPECT_EQ(idle_register_evaluations(256), one);
+}
+
+/// Counts its wakeups.
+class WakeCounter : public Component {
+ public:
+  WakeCounter() : Component("wake_counter") {}
+  void evaluate(Kernel&) override { ++wakes; }
+  std::uint64_t wakes = 0;
+};
+
+TEST(GatedListener, WokenWhileAnyGateIsNonzero) {
+  Netlist netlist;
+  Net& clock = netlist.create_net("clk", 1);
+  Net& g1 = netlist.create_net("g1", 4);
+  Net& g2 = netlist.create_net("g2", 1);
+  netlist.add_component<ops::ClockGen>("cg", clock, 10, 6);
+  // Edges at 5, 15, 25, 35, 45, 55: gates (g1, g2) are (0,0), (3,0),
+  // (3,1), (0,1), (2,0) -- a nonzero value other than 1 -- and (0,0).
+  netlist.add_component<Scripted>(
+      g1, std::vector<std::pair<Time, Bits>>{
+              {10, Bits(4, 3)}, {30, Bits(4, 0)}, {40, Bits(4, 2)},
+              {50, Bits(4, 0)}});
+  netlist.add_component<Scripted>(
+      g2, std::vector<std::pair<Time, Bits>>{{20, Bits::bit(true)},
+                                             {40, Bits::bit(false)}});
+  WakeCounter& gated = netlist.add_component<WakeCounter>();
+  clock.add_listener(&gated, Listen::kRising, {&g1, nullptr, &g2});
+  // A second registration of the same component ungates it.
+  WakeCounter& regated = netlist.add_component<WakeCounter>();
+  clock.add_listener(&regated, Listen::kRising, {&g1});
+  clock.add_listener(&regated, Listen::kRising);
+  Kernel kernel(netlist);
+  kernel.run();
+  EXPECT_EQ(gated.wakes, 4u);
+  EXPECT_EQ(regated.wakes, 6u);
 }
 
 TEST(KernelStats, CountsActivity) {

@@ -358,13 +358,13 @@ TEST(JsonReader, NestingBeyondTheDepthCapIsATypedError) {
   auto nested = [](std::size_t depth, char open, char close) {
     return std::string(depth, open) + std::string(depth, close);
   };
-  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth, '[', ']')));
-  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1, '[', ']')), JsonError);
+  EXPECT_NO_THROW(parse_json(nested(kMaxNestingDepth, '[', ']')));
+  EXPECT_THROW(parse_json(nested(kMaxNestingDepth + 1, '[', ']')), JsonError);
   std::string objects;
-  for (std::size_t i = 0; i <= kMaxJsonDepth; ++i) {
+  for (std::size_t i = 0; i <= kMaxNestingDepth; ++i) {
     objects += "{\"k\": ";
   }
-  objects += "1" + std::string(kMaxJsonDepth + 1, '}');
+  objects += "1" + std::string(kMaxNestingDepth + 1, '}');
   EXPECT_THROW(parse_json(objects), JsonError);
   // Far past the cap the parser still fails with the typed error instead
   // of recursing until the stack overflows.

@@ -72,6 +72,31 @@ TEST(Parser, Errors) {
   EXPECT_THROW(parse("<a b=\"<\"/>"), util::XmlError);
 }
 
+TEST(Parser, NestingBeyondTheDepthCapIsATypedError) {
+  auto nested = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) {
+      text += "<a>";
+    }
+    for (std::size_t i = 0; i < depth; ++i) {
+      text += "</a>";
+    }
+    return text;
+  };
+  EXPECT_NO_THROW(parse(nested(util::kMaxNestingDepth)));
+  EXPECT_THROW(parse(nested(util::kMaxNestingDepth + 1)), util::XmlError);
+  // Far past the cap the parser still fails with the typed error instead
+  // of recursing until the stack overflows.
+  try {
+    parse(nested(200000));
+    FAIL() << "200,000 nested elements parsed";
+  } catch (const util::XmlError& error) {
+    EXPECT_NE(std::string(error.what()).find("nested deeper than 256"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Writer, EscapesSpecials) {
   Element root("t");
   root.set_attr("a", "x<y&\"z\"");

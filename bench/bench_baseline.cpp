@@ -6,14 +6,16 @@
 // classic strategies: the full-sweep "naive" baseline (re-evaluate every
 // combinational unit until settled, every cycle) and the statically
 // scheduled "levelized" compiled engine (one rank-ordered straight-line
-// sweep per cycle).  All three engines share operator semantics and must
-// produce bit-identical memories, so the differences isolate scheduling
-// strategy.
+// sweep per cycle).  Both run on one executor, and all three engines
+// share operator semantics and must produce bit-identical memories, so
+// the differences isolate scheduling strategy.
 //
 //   bench_baseline [--json PATH]   (conventionally PATH=BENCH_baseline.json)
 //                  [--obs]         record observability metrics + spans
 //                                  during the runs (E4 overhead harness:
 //                                  diff wall times against a run without)
+//
+// Exits 1 when any workload is not bit-identical across the engines.
 #include <iostream>
 
 #include "fti/obs/metrics.hpp"
@@ -36,7 +38,9 @@ struct EngineRun {
   std::uint64_t evaluations = 0;
 };
 
-void compare(const std::string& name, const std::string& source,
+/// Runs one workload on every engine, adds its row, and returns whether
+/// the engines completed with bit-identical memories.
+bool compare(const std::string& name, const std::string& source,
              std::map<std::string, std::int64_t> args,
              std::map<std::string, std::vector<std::uint64_t>> inputs,
              fti::util::TextTable& table, fti::util::JsonReport& report) {
@@ -114,6 +118,7 @@ void compare(const std::string& name, const std::string& source,
   workload.set("speedup.event_vs_naive", naive.seconds / event.seconds);
   workload.set("speedup.levelized_vs_naive",
                naive.seconds / levelized.seconds);
+  return identical;
 }
 
 }  // namespace
@@ -138,31 +143,37 @@ int main(int argc, char** argv) {
                               "bit-identical"});
 
   constexpr std::size_t kBlocks = 64;
-  compare("FDCT1 (4,096 px)", fti::golden::fdct_source(kBlocks, false),
-          {{"nblocks", kBlocks}},
-          {{"in", fti::golden::make_test_image(kBlocks * 64)}}, table,
-          report);
-  compare("FDCT2 (4,096 px)", fti::golden::fdct_source(kBlocks, true),
-          {{"nblocks", kBlocks}},
-          {{"in", fti::golden::make_test_image(kBlocks * 64)}}, table,
-          report);
+  bool identical = true;
+  identical &= compare(
+      "FDCT1 (4,096 px)", fti::golden::fdct_source(kBlocks, false),
+      {{"nblocks", kBlocks}},
+      {{"in", fti::golden::make_test_image(kBlocks * 64)}}, table, report);
+  identical &= compare(
+      "FDCT2 (4,096 px)", fti::golden::fdct_source(kBlocks, true),
+      {{"nblocks", kBlocks}},
+      {{"in", fti::golden::make_test_image(kBlocks * 64)}}, table, report);
   constexpr std::size_t kWords = 4096;
-  compare("Hamming (4,096 words)", fti::golden::hamming_source(kWords),
-          {{"n", kWords}},
-          {{"code", fti::golden::make_codewords(kWords, 31, 5)}}, table,
-          report);
+  identical &= compare(
+      "Hamming (4,096 words)", fti::golden::hamming_source(kWords),
+      {{"n", kWords}},
+      {{"code", fti::golden::make_codewords(kWords, 31, 5)}}, table, report);
 
   std::cout << "=== event / naive / levelized engine comparison (E3) ===\n"
             << table.to_string() << "\n";
   std::cout
       << "expected shape: the event kernel touches only active components\n"
-         "(naive/event eval ratio > 1, growing with datapath size); the\n"
-         "levelized engine trades that activity filter for a straight-line\n"
-         "sweep with zero scheduling overhead, so both beat the\n"
-         "evaluate-until-settled baseline.\n";
+         "(naive/event eval ratio 10-20x), but naive runs the levelized\n"
+         "executor's dense straight-line loop, so event and naive wall\n"
+         "times stay within ~2x of each other either way; levelized, the\n"
+         "same executor with one ranked pass instead of sweeping to a\n"
+         "fixpoint, beats naive by ~1.5-1.8x.\n";
   if (!json_path.empty()) {
     report.write(json_path);
     std::cout << "wrote " << json_path.string() << "\n";
+  }
+  if (!identical) {
+    std::cerr << argv[0] << ": the engines disagree (bit-identical NO)\n";
+    return 1;
   }
   return 0;
 }

@@ -564,7 +564,12 @@ class NodeEmitter {
 
 const std::string& cpp_preamble() {
   static const std::string text = [] {
-    std::string out = elab::cabi::kCompiledAbiText;
+    // The stringized ABI declarations arrive as one line, like the
+    // kernels below; one declaration per line keeps modules readable.
+    std::string out = "\n" +
+                      util::replace_all(elab::cabi::kCompiledAbiText,
+                                        "; typedef", ";\ntypedef") +
+                      "\n";
     // Host-computed sizeofs: any layout drift between the ABI text above
     // and the header the loading process was built with fails this
     // module's own compile instead of corrupting a run.

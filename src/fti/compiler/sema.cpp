@@ -20,6 +20,12 @@ class Checker {
         fail(param.line, "duplicate parameter '" + param.name + "'");
       }
       if (param.is_array) {
+        if (param.array_size > util::kMaxMemoryWords) {
+          fail(param.line, "array '" + param.name + "' has " +
+                               std::to_string(param.array_size) +
+                               " words; the limit is " +
+                               std::to_string(util::kMaxMemoryWords));
+        }
         info_.arrays.emplace(param.name, param);
       } else {
         info_.scalar_params.insert(param.name);

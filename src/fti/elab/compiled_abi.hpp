@@ -15,14 +15,15 @@
 //
 // The generated source cannot #include this header (cached objects must
 // load in processes that know nothing about the build tree), so the
-// struct declarations exist twice: as real C declarations below and as
-// the kCompiledAbiText string the emitter pastes into every module.
-// Keep them textually identical.  Two guards make drift loud instead of
-// subtle: the emitter writes `static_assert(sizeof(...) == N)` lines
-// into each module using the HOST's sizeof values (a layout mismatch
-// then fails the module's own compile), and abi_version is re-checked
-// at every load (bump kCompiledAbiVersion on ANY change here, so every
-// previously cached object misses).
+// struct declarations are written once, inside FTI_COMPILED_ABI_DEFINE,
+// which both declares them for the host and stringizes them into the
+// kCompiledAbiText the emitter pastes into every module (the same
+// discipline as FTI_WORD_OPS_DEFINE in ops/word_ops.hpp).  Two guards
+// stay on top of that: the emitter writes `static_assert(sizeof(...) ==
+// N)` lines into each module using the HOST's sizeof values (a layout
+// mismatch then fails the module's own compile), and abi_version is
+// re-checked at every load (bump kCompiledAbiVersion on ANY layout
+// change here, so every previously cached object misses).
 //
 // Layout rules shared by the emitter and the host loader (cabi::*
 // helpers below): `memories` pointers follow datapath memory
@@ -41,8 +42,18 @@
 
 #include "fti/ir/rtg.hpp"
 
-extern "C" {
+// Declares the ABI structs with C linkage and defines `name` in
+// fti::elab::cabi as their text.  Comments inside are dropped by the
+// preprocessor and whitespace collapses; keep macros out of the body.
+#define FTI_COMPILED_ABI_DEFINE(name, ...)           \
+  extern "C" {                                       \
+  __VA_ARGS__                                        \
+  }                                                  \
+  namespace fti::elab::cabi {                        \
+  inline constexpr const char name[] = #__VA_ARGS__; \
+  }
 
+FTI_COMPILED_ABI_DEFINE(kCompiledAbiText,
 typedef void (*FtiCompiledTraceFn)(void* host, unsigned long long slot,
                                    unsigned long long value);
 typedef void (*FtiCompiledMemWriteFn)(void* host,
@@ -85,8 +96,9 @@ typedef struct FtiCompiledDesignV1 {
   unsigned long long node_count;
   const FtiCompiledNodeV1* nodes;
 } FtiCompiledDesignV1;
+)
 
-}  // extern "C"
+#undef FTI_COMPILED_ABI_DEFINE
 
 namespace fti::elab::cabi {
 
@@ -95,53 +107,6 @@ inline constexpr const char* kCompiledEntrySymbol = "fti_compiled_design";
 
 /// Signature of the module entry point resolved via dlsym.
 using CompiledEntryFn = const FtiCompiledDesignV1* (*)();
-
-/// The C declarations above, verbatim, for the emitter to paste into
-/// generated modules (see file comment for the drift guards).
-inline constexpr const char* kCompiledAbiText = R"abi(
-typedef void (*FtiCompiledTraceFn)(void* host, unsigned long long slot,
-                                   unsigned long long value);
-typedef void (*FtiCompiledMemWriteFn)(void* host,
-                                      unsigned long long write_index,
-                                      unsigned long long addr,
-                                      unsigned long long value);
-
-typedef struct FtiCompiledRunV1 {
-  const unsigned long long* const* memories;
-  unsigned long long max_cycles;
-  unsigned long long collect_traces;
-  void* host;
-  FtiCompiledTraceFn trace;
-  FtiCompiledMemWriteFn mem_write;
-  unsigned long long* finals;
-  unsigned long long* visits;
-  unsigned long long* taken;
-  char* error;
-  unsigned long long error_capacity;
-  unsigned long long cycles;
-  unsigned long long events;
-  unsigned long long evaluations;
-  unsigned long long delta_cycles;
-} FtiCompiledRunV1;
-
-typedef struct FtiCompiledNodeV1 {
-  const char* name;
-  int (*run)(FtiCompiledRunV1* io);
-  unsigned long long traced_count;
-  unsigned long long memory_count;
-  unsigned long long state_count;
-  unsigned long long taken_count;
-  unsigned long long write_count;
-  unsigned long long comb_depth;
-} FtiCompiledNodeV1;
-
-typedef struct FtiCompiledDesignV1 {
-  unsigned long long abi_version;
-  const char* ir_hash;
-  unsigned long long node_count;
-  const FtiCompiledNodeV1* nodes;
-} FtiCompiledDesignV1;
-)abi";
 
 /// Finals/trace slot order: register q wires then control wires, in
 /// datapath declaration order.  Must match elab::traced_wires (the

@@ -1,20 +1,15 @@
 #include "fti/elab/engines.hpp"
 
-#include <deque>
 #include <map>
 #include <mutex>
 #include <utility>
 
 #include "fti/elab/batched.hpp"
 #include "fti/elab/compiled.hpp"
-#include "fti/elab/compiled_fsm.hpp"
 #include "fti/elab/levelized.hpp"
 #include "fti/obs/metrics.hpp"
 #include "fti/obs/trace.hpp"
-#include "fti/ops/alu.hpp"
 #include "fti/sim/probe.hpp"
-#include "fti/util/error.hpp"
-#include "fti/util/file_io.hpp"
 
 namespace fti::elab {
 
@@ -129,332 +124,6 @@ sim::EnginePartition EventEngine::run_partition(
       run_one_partition(config, node, pool, ropts, attach_tracer);
   run.finals = std::move(finals);
   run.traces = std::move(traces);
-  return run;
-}
-
-// ---------------------------------------------------------------------------
-// NaiveEngine
-
-namespace {
-
-using sim::Bits;
-
-/// The conventional strategy the paper's engine is measured against:
-/// every clock cycle, evaluate EVERY combinational unit in repeated full
-/// sweeps until the netlist settles, regardless of activity.  Produces
-/// bit-identical results to the event kernel (same operator semantics), so
-/// benchmarks isolate the scheduling strategy.
-class NaiveSim {
- public:
-  NaiveSim(const ir::Configuration& config, mem::MemoryPool& pool,
-           const sim::EngineRunOptions& options)
-      : config_(config), options_(options) {
-    ir::validate(config.datapath);
-    ir::validate(config.fsm, config.datapath);
-    const ir::Datapath& datapath = config.datapath;
-    for (const ir::Wire& wire : datapath.wires) {
-      wire_index_.emplace(wire.name, values_.size());
-      values_.emplace_back(wire.width, 0);
-    }
-    for (const ir::MemoryDecl& memory : datapath.memories) {
-      bool fresh = !pool.contains(memory.name);
-      mem::MemoryImage& image =
-          pool.create(memory.name, memory.depth, memory.width);
-      if (fresh) {
-        for (std::size_t i = 0; i < memory.init.size(); ++i) {
-          image.write(i, memory.init[i]);
-        }
-      }
-      images_.emplace(memory.name, &image);
-    }
-    for (const ir::Unit& unit : datapath.units) {
-      if (unit.kind == ir::UnitKind::kRegister) {
-        registers_.push_back(&unit);
-      } else if (unit.kind == ir::UnitKind::kBinOp && unit.latency > 0) {
-        pipelined_.push_back(&unit);
-        pipelines_[&unit].assign(unit.latency - 1,
-                                 Bits(values_[wire_index_.at(
-                                          unit.port("out"))].width(),
-                                      0));
-      } else if (unit.kind == ir::UnitKind::kMemPort) {
-        // Read paths are combinational; write-capable ports act at edges.
-        if (unit.mem_mode != ir::MemMode::kWrite) {
-          combinational_.push_back(&unit);
-        }
-        if (unit.mem_mode != ir::MemMode::kRead) {
-          memports_.push_back(&unit);
-        }
-      } else {
-        combinational_.push_back(&unit);
-      }
-    }
-    state_ = config.fsm.state_index(config.fsm.initial);
-    done_index_ = wire_index_.at(config.fsm.done_wire);
-    visits_.assign(config.fsm.states.size(), 0);
-    taken_.resize(config.fsm.states.size());
-    for (std::size_t i = 0; i < config.fsm.states.size(); ++i) {
-      taken_[i].assign(config.fsm.states[i].transitions.size(), 0);
-    }
-  }
-
-  sim::EnginePartition run(const std::string& node) {
-    sim::EnginePartition result;
-    result.node = node;
-    // Registers power up holding their reset value, like the event
-    // kernel's Register::initialize (bitstream-initialised flops).
-    for (const ir::Unit* reg : registers_) {
-      std::size_t index = index_of(reg->port("q"));
-      values_[index] = Bits(values_[index].width(), reg->reset_value);
-    }
-    visits_[state_] += 1;
-    drive_controls(result.stats);
-    settle(result.stats);
-    result.reason = sim::Kernel::StopReason::kMaxTime;
-    while (values_[done_index_].is_zero()) {
-      if (options_.max_cycles_per_partition != 0 &&
-          result.cycles >= options_.max_cycles_per_partition) {
-        finish(result);
-        return result;
-      }
-      clock_edge(result.stats);
-      drive_controls(result.stats);
-      settle(result.stats);
-      ++result.cycles;
-    }
-    result.reason = sim::Kernel::StopReason::kDoneNet;
-    finish(result);
-    return result;
-  }
-
- private:
-  void finish(sim::EnginePartition& result) {
-    result.stats.timesteps = result.cycles + 1;
-    result.stats.end_time = result.cycles * options_.clock_period;
-    result.coverage = coverage_from_counts(config_.fsm, visits_, taken_);
-  }
-
-  std::size_t index_of(const std::string& wire) const {
-    return wire_index_.at(wire);
-  }
-
-  const Bits& value(const ir::Unit& unit, const std::string& port) const {
-    return values_[wire_index_.at(unit.port(port))];
-  }
-
-  /// Moore outputs of the current FSM state; unassigned controls are zero.
-  void drive_controls(sim::KernelStats& stats) {
-    const ir::Datapath& datapath = config_.datapath;
-    for (const std::string& control : datapath.control_wires) {
-      std::size_t index = index_of(control);
-      Bits next(values_[index].width(), 0);
-      for (const ir::ControlAssign& assign :
-           config_.fsm.states[state_].controls) {
-        if (assign.wire == control) {
-          next = Bits(values_[index].width(), assign.value);
-          break;
-        }
-      }
-      if (!(values_[index] == next)) {
-        values_[index] = next;
-        ++stats.events;
-      }
-    }
-  }
-
-  bool evaluate_unit(const ir::Unit& unit) {
-    Bits result;
-    std::size_t out_index = 0;
-    switch (unit.kind) {
-      case ir::UnitKind::kBinOp: {
-        out_index = index_of(unit.port("out"));
-        result = ops::eval_binop(unit.binop, value(unit, "a"),
-                                 value(unit, "b"),
-                                 values_[out_index].width());
-        break;
-      }
-      case ir::UnitKind::kUnOp: {
-        out_index = index_of(unit.port("out"));
-        result = ops::eval_unop(unit.unop, value(unit, "a"),
-                                values_[out_index].width());
-        break;
-      }
-      case ir::UnitKind::kConst: {
-        out_index = index_of(unit.port("out"));
-        result = Bits(values_[out_index].width(), unit.value);
-        break;
-      }
-      case ir::UnitKind::kMux: {
-        out_index = index_of(unit.port("out"));
-        std::uint64_t sel = value(unit, "sel").u();
-        if (sel >= unit.mux_inputs) {
-          result = Bits(values_[out_index].width(), 0);
-        } else {
-          result = value(unit, "in" + std::to_string(sel));
-        }
-        break;
-      }
-      case ir::UnitKind::kMemPort: {
-        out_index = index_of(unit.port("dout"));
-        const mem::MemoryImage& image = *images_.at(unit.memory);
-        std::uint64_t address = value(unit, "addr").u();
-        result = address < image.depth()
-                     ? Bits(values_[out_index].width(),
-                            image.words()[address])
-                     : Bits(values_[out_index].width(), 0);
-        break;
-      }
-      case ir::UnitKind::kRegister:
-        FTI_ASSERT(false, "register in combinational list");
-    }
-    if (values_[out_index] == result) {
-      return false;
-    }
-    values_[out_index] = result;
-    return true;
-  }
-
-  /// Full-evaluation sweeps until the combinational logic settles.
-  void settle(sim::KernelStats& stats) {
-    for (std::uint32_t sweep = 0; sweep < options_.max_sweeps; ++sweep) {
-      ++stats.delta_cycles;
-      bool changed = false;
-      for (const ir::Unit* unit : combinational_) {
-        ++stats.evaluations;
-        bool unit_changed = evaluate_unit(*unit);
-        if (unit_changed) {
-          ++stats.events;
-        }
-        changed = unit_changed || changed;
-      }
-      if (!changed) {
-        return;
-      }
-    }
-    throw util::SimError("baseline: combinational loop in datapath '" +
-                         config_.datapath.name + "'");
-  }
-
-  void clock_edge(sim::KernelStats& stats) {
-    // Sample everything with pre-edge values, then commit.
-    struct RegUpdate {
-      std::size_t out_index;
-      Bits value;
-    };
-    std::vector<RegUpdate> reg_updates;
-    for (const ir::Unit* reg : registers_) {
-      ++stats.evaluations;
-      if (reg->has_port("rst") && !value(*reg, "rst").is_zero()) {
-        reg_updates.push_back({index_of(reg->port("q")),
-                               Bits(reg->width, reg->reset_value)});
-        continue;
-      }
-      if (reg->has_port("en") && value(*reg, "en").is_zero()) {
-        continue;
-      }
-      reg_updates.push_back({index_of(reg->port("q")), value(*reg, "d")});
-    }
-    struct MemUpdate {
-      mem::MemoryImage* image;
-      std::uint64_t address;
-      std::uint64_t data;
-    };
-    std::vector<MemUpdate> mem_updates;
-    for (const ir::Unit* port : memports_) {
-      ++stats.evaluations;
-      if (value(*port, "we").is_zero()) {
-        continue;
-      }
-      std::uint64_t address = value(*port, "addr").u();
-      mem::MemoryImage* image = images_.at(port->memory);
-      if (address >= image->depth()) {
-        throw util::SimError("baseline: sram '" + port->name +
-                             "' write out of range");
-      }
-      mem_updates.push_back({image, address, value(*port, "din").u()});
-    }
-    // Pipelined FUs sample pre-edge operands and retire the oldest stage.
-    struct PipeUpdate {
-      std::size_t out_index;
-      Bits value;
-    };
-    std::vector<PipeUpdate> pipe_updates;
-    for (const ir::Unit* unit : pipelined_) {
-      ++stats.evaluations;
-      std::deque<Bits>& stages = pipelines_[unit];
-      stages.push_back(ops::eval_binop(
-          unit->binop, value(*unit, "a"), value(*unit, "b"),
-          values_[index_of(unit->port("out"))].width()));
-      pipe_updates.push_back({index_of(unit->port("out")), stages.front()});
-      stages.pop_front();
-    }
-    // FSM transition on pre-edge status values.
-    const ir::State& current = config_.fsm.states[state_];
-    for (std::size_t t = 0; t < current.transitions.size(); ++t) {
-      const ir::Transition& transition = current.transitions[t];
-      bool taken = true;
-      for (const ir::GuardLiteral& literal : transition.guard.literals) {
-        bool level = !values_[index_of(literal.status)].is_zero();
-        if (level != literal.expected) {
-          taken = false;
-          break;
-        }
-      }
-      if (taken) {
-        ++taken_[state_][t];
-        state_ = config_.fsm.state_index(transition.target);
-        visits_[state_] += 1;
-        break;
-      }
-    }
-    for (const RegUpdate& update : reg_updates) {
-      if (!(values_[update.out_index] == update.value)) {
-        values_[update.out_index] = update.value;
-        ++stats.events;
-      }
-    }
-    for (const PipeUpdate& update : pipe_updates) {
-      if (!(values_[update.out_index] == update.value)) {
-        values_[update.out_index] = update.value;
-        ++stats.events;
-      }
-    }
-    for (const MemUpdate& update : mem_updates) {
-      update.image->write(update.address, update.data);
-      ++stats.events;
-    }
-  }
-
-  const ir::Configuration& config_;
-  const sim::EngineRunOptions& options_;
-  std::map<std::string, std::size_t> wire_index_;
-  std::vector<Bits> values_;
-  std::map<std::string, mem::MemoryImage*> images_;
-  std::vector<const ir::Unit*> combinational_;
-  std::vector<const ir::Unit*> registers_;
-  std::vector<const ir::Unit*> pipelined_;
-  std::map<const ir::Unit*, std::deque<Bits>> pipelines_;
-  std::vector<const ir::Unit*> memports_;
-  std::size_t state_;
-  std::size_t done_index_;
-  std::vector<std::uint64_t> visits_;
-  std::vector<std::vector<std::uint64_t>> taken_;
-};
-
-}  // namespace
-
-const std::string& NaiveEngine::name() const {
-  static const std::string kName = "naive";
-  return kName;
-}
-
-sim::EnginePartition NaiveEngine::run_partition(
-    const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
-    const sim::EngineRunOptions& options, std::size_t partition_index) {
-  (void)partition_index;
-  util::Stopwatch watch;
-  NaiveSim simulator(design.configuration(node), pool, options);
-  sim::EnginePartition run = simulator.run(node);
-  run.wall_seconds = watch.seconds();
   return run;
 }
 

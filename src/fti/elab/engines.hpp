@@ -1,14 +1,14 @@
 // Built-in execution engines behind the sim::Engine interface.
 //
-// Three backends share one RTG loop (PartitionedEngine):
+// Every backend shares one RTG loop (PartitionedEngine):
 //  * EventEngine     -- the event-driven kernel (elaborate to a netlist of
 //                       components, calendar-queue scheduling).  The
 //                       paper's engine; the only one with net tracing.
-//  * NaiveEngine     -- the conventional full-evaluation baseline: every
-//                       cycle, sweep EVERY combinational unit until the
-//                       values settle (E3's comparison point).
-//  * LevelizedEngine -- statically scheduled compiled evaluation, see
-//                       levelized.hpp.
+//  * LevelizedEngine -- statically scheduled compiled evaluation, and
+//    NaiveEngine        the conventional full-evaluation baseline (E3's
+//                       comparison point): one executor with two
+//                       combinational steps, see levelized.hpp.
+//  * BatchedEngine, CompiledEngine -- batched.hpp, compiled.hpp.
 //
 // The fuzzer's reference interpreter implements the same interface from
 // the fuzz layer (fuzz/reference.hpp).
@@ -46,16 +46,6 @@ class EventEngine final : public PartitionedEngine {
   const std::string& name() const override;
   bool supports_tracing() const override { return true; }
   bool reports_wire_data() const override { return true; }
-  sim::EnginePartition run_partition(const ir::Design& design,
-                                     const std::string& node,
-                                     mem::MemoryPool& pool,
-                                     const sim::EngineRunOptions& options,
-                                     std::size_t partition_index) override;
-};
-
-class NaiveEngine final : public PartitionedEngine {
- public:
-  const std::string& name() const override;
   sim::EnginePartition run_partition(const ir::Design& design,
                                      const std::string& node,
                                      mem::MemoryPool& pool,

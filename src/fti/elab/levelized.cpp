@@ -113,19 +113,32 @@ SharedSchedule acquire_levelized_schedule(const ir::Design& design,
 
 namespace {
 
-/// Straight-line interpreter over the precompiled schedule.  Everything is
-/// resolved to dense indices at construction; the per-cycle loop does no
-/// name lookups and no scheduling decisions.
+/// How each cycle brings the combinational logic up to date.  Fixed by
+/// the engine: everything else about the two engines is this one
+/// executor.
+enum class Settle {
+  /// levelized: one pass over the rank-ordered schedule.
+  kRankedPass,
+  /// naive: passes in datapath declaration order with change detection,
+  /// until one changes nothing -- the conventional full-evaluation
+  /// strategy E3 measures the event kernel against.
+  kUntilStable,
+};
+
+/// Straight-line interpreter over a fixed order of the combinational
+/// units.  Everything is resolved to dense indices at construction; the
+/// per-cycle loop does no name lookups and no scheduling decisions.
 class LevelizedSim {
  public:
-  /// `schedule` must have been built from this exact `config` object
-  /// (see acquire_levelized_schedule); the caller's SharedSchedule
-  /// handle keeps it alive for the construction -- steps are resolved
-  /// to dense indices here and the schedule is not referenced after.
+  /// `comb_order` lists the configuration's combinational units in sweep
+  /// order; the units are resolved to dense indices here and not
+  /// referenced after.  `collect_wire_data` records finals and traces of
+  /// the clocked wires.
   LevelizedSim(const ir::Configuration& config, mem::MemoryPool& pool,
                const sim::EngineRunOptions& options,
-               const LevelizedSchedule& schedule)
-      : config_(config), options_(options) {
+               const std::vector<const ir::Unit*>& comb_order, Settle settle,
+               bool collect_wire_data)
+      : config_(config), options_(options), settle_(settle) {
     ir::validate(config.datapath);
     ir::validate(config.fsm, config.datapath);
     const ir::Datapath& datapath = config.datapath;
@@ -145,10 +158,9 @@ class LevelizedSim {
       images_.emplace(memory.name, &image);
     }
 
-    // The combinational sweep, compiled from the levelized schedule.
-    depth_ = schedule.depth;
-    for (const LevelizedSchedule::Step& step : schedule.steps) {
-      const ir::Unit& unit = *step.unit;
+    // The combinational sweep, in the caller's order.
+    for (const ir::Unit* comb_unit : comb_order) {
+      const ir::Unit& unit = *comb_unit;
       CombOp op;
       op.kind = unit.kind;
       op.out = index_of(comb_output(unit));
@@ -213,7 +225,7 @@ class LevelizedSim {
     // Traced wires (register outputs + controls) are never written by the
     // combinational sweep, so O(1) slot lookup in set_traced covers every
     // write that can matter.
-    if (options.collect_wire_data) {
+    if (collect_wire_data) {
       trace_slot_.assign(values_.size(), kNone);
       for (const std::string& wire : traced_wires(datapath)) {
         trace_slot_[index_of(wire)] = trace_names_.size();
@@ -222,8 +234,6 @@ class LevelizedSim {
       traces_.resize(trace_names_.size());
     }
   }
-
-  std::size_t depth() const { return depth_; }
 
   sim::EnginePartition run(const std::string& node) {
     sim::EnginePartition result;
@@ -304,6 +314,10 @@ class LevelizedSim {
     return wire_index_.at(wire);
   }
 
+  const char* engine_name() const {
+    return settle_ == Settle::kRankedPass ? "levelized" : "naive";
+  }
+
   void set_traced(std::size_t index, const Bits& next,
                   sim::KernelStats& stats) {
     if (values_[index] == next) {
@@ -324,43 +338,64 @@ class LevelizedSim {
     }
   }
 
-  /// One rank-ordered pass; every unit's inputs are already final, so the
-  /// result can be assigned unconditionally -- no change detection, no
-  /// re-sweeping, no delta cycles.
+  Bits evaluate(const CombOp& op) const {
+    switch (op.kind) {
+      case ir::UnitKind::kBinOp:
+        return ops::eval_binop(op.binop, values_[op.ins[0]],
+                               values_[op.ins[1]], op.width);
+      case ir::UnitKind::kUnOp:
+        return ops::eval_unop(op.unop, values_[op.ins[0]], op.width);
+      case ir::UnitKind::kConst:
+        return Bits(op.width, op.value);
+      case ir::UnitKind::kMux: {
+        std::uint64_t sel = values_[op.ins[0]].u();
+        return sel < op.mux_inputs ? values_[op.ins[1 + sel]]
+                                   : Bits(op.width, 0);
+      }
+      case ir::UnitKind::kMemPort: {
+        std::uint64_t address = values_[op.ins[0]].u();
+        return address < op.image->depth()
+                   ? Bits(op.width, op.image->words()[address])
+                   : Bits(op.width, 0);
+      }
+      case ir::UnitKind::kRegister:
+        break;
+    }
+    FTI_ASSERT(false, "register in the combinational sweep");
+  }
+
+  /// Brings every combinational output up to date; one delta cycle per
+  /// pass.
   void sweep(sim::KernelStats& stats) {
-    ++stats.delta_cycles;
-    stats.evaluations += comb_.size();
-    for (const CombOp& op : comb_) {
-      switch (op.kind) {
-        case ir::UnitKind::kBinOp:
-          values_[op.out] = ops::eval_binop(op.binop, values_[op.ins[0]],
-                                            values_[op.ins[1]], op.width);
-          break;
-        case ir::UnitKind::kUnOp:
-          values_[op.out] =
-              ops::eval_unop(op.unop, values_[op.ins[0]], op.width);
-          break;
-        case ir::UnitKind::kConst:
-          values_[op.out] = Bits(op.width, op.value);
-          break;
-        case ir::UnitKind::kMux: {
-          std::uint64_t sel = values_[op.ins[0]].u();
-          values_[op.out] = sel < op.mux_inputs
-                                ? values_[op.ins[1 + sel]]
-                                : Bits(op.width, 0);
-          break;
+    if (settle_ == Settle::kRankedPass) {
+      // Every unit's inputs are already final, so the result is assigned
+      // unconditionally: no change detection, no second pass.
+      ++stats.delta_cycles;
+      stats.evaluations += comb_.size();
+      for (const CombOp& op : comb_) {
+        values_[op.out] = evaluate(op);
+      }
+      return;
+    }
+    for (std::uint32_t pass = 0; pass < options_.max_sweeps; ++pass) {
+      ++stats.delta_cycles;
+      stats.evaluations += comb_.size();
+      bool changed = false;
+      for (const CombOp& op : comb_) {
+        Bits next = evaluate(op);
+        if (!(values_[op.out] == next)) {
+          values_[op.out] = next;
+          ++stats.events;
+          changed = true;
         }
-        case ir::UnitKind::kMemPort: {
-          std::uint64_t address = values_[op.ins[0]].u();
-          values_[op.out] = address < op.image->depth()
-                                ? Bits(op.width, op.image->words()[address])
-                                : Bits(op.width, 0);
-          break;
-        }
-        case ir::UnitKind::kRegister:
-          break;
+      }
+      if (!changed) {
+        return;
       }
     }
+    throw util::SimError("naive: combinational loop in datapath '" +
+                         config_.datapath.name + "': no fixpoint after " +
+                         std::to_string(options_.max_sweeps) + " sweeps");
   }
 
   /// Two-phase edge identical in observable order to the reference
@@ -395,7 +430,8 @@ class LevelizedSim {
       }
       std::uint64_t address = values_[write.addr].u();
       if (address >= write.image->depth()) {
-        throw util::SimError("levelized: sram '" + write.name +
+        throw util::SimError(std::string(engine_name()) + ": sram '" +
+                             write.name +
                              "' write to address " +
                              std::to_string(address) + " beyond depth " +
                              std::to_string(write.image->depth()));
@@ -448,6 +484,7 @@ class LevelizedSim {
 
   const ir::Configuration& config_;
   const sim::EngineRunOptions& options_;
+  Settle settle_;
   std::map<std::string, std::size_t> wire_index_;
   std::vector<Bits> values_;
   std::map<std::string, mem::MemoryImage*> images_;
@@ -458,7 +495,6 @@ class LevelizedSim {
   std::vector<Update> updates_;
   std::vector<MemWrite> mem_writes_;
   CompiledFsm fsm_;
-  std::size_t depth_ = 0;
   std::size_t state_;
   std::size_t done_index_;
   std::vector<std::uint64_t> visits_;
@@ -482,15 +518,45 @@ sim::EnginePartition LevelizedEngine::run_partition(
   (void)partition_index;
   util::Stopwatch watch;
   SharedSchedule schedule = acquire_levelized_schedule(design, node);
-  LevelizedSim simulator(design.configuration(node), pool, options, *schedule);
+  std::vector<const ir::Unit*> ranked;
+  ranked.reserve(schedule->steps.size());
+  for (const LevelizedSchedule::Step& step : schedule->steps) {
+    ranked.push_back(step.unit);
+  }
+  LevelizedSim simulator(design.configuration(node), pool, options, ranked,
+                         Settle::kRankedPass, options.collect_wire_data);
   sim::EnginePartition run = simulator.run(node);
   run.wall_seconds = watch.seconds();
   // Each delta is one full sweep of the levelized schedule, so the
   // number of levels visited is sweeps x schedule depth.
   if (obs::enabled()) {
     obs::counter("engine.levels_swept")
-        .add(run.stats.delta_cycles * simulator.depth());
+        .add(run.stats.delta_cycles * schedule->depth);
   }
+  return run;
+}
+
+const std::string& NaiveEngine::name() const {
+  static const std::string kName = "naive";
+  return kName;
+}
+
+sim::EnginePartition NaiveEngine::run_partition(
+    const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
+    const sim::EngineRunOptions& options, std::size_t partition_index) {
+  (void)partition_index;
+  util::Stopwatch watch;
+  const ir::Configuration& config = design.configuration(node);
+  std::vector<const ir::Unit*> declared;
+  for (const ir::Unit& unit : config.datapath.units) {
+    if (ir::is_combinational(unit)) {
+      declared.push_back(&unit);
+    }
+  }
+  LevelizedSim simulator(config, pool, options, declared,
+                         Settle::kUntilStable, /*collect_wire_data=*/false);
+  sim::EnginePartition run = simulator.run(node);
+  run.wall_seconds = watch.seconds();
   return run;
 }
 

@@ -10,6 +10,14 @@
 // Combinational cycles are detected at schedule-build time instead of via
 // the kernel's delta-cycle limit, so a bad design fails before the first
 // cycle runs.
+//
+// The "naive" engine is the same executor -- dense wire indices, memory
+// binding, two-phase clock edge, pipeline rings, compiled FSM, coverage
+// -- with the conventional full-evaluation step in place of the ranked
+// pass: every cycle it sweeps every combinational unit in declaration
+// order, with change detection, until a sweep changes nothing, and
+// throws SimError after EngineRunOptions::max_sweeps sweeps (a
+// combinational loop).  It reports no wire data.
 #pragma once
 
 #include <cstddef>
@@ -74,6 +82,16 @@ class LevelizedEngine final : public PartitionedEngine {
  public:
   const std::string& name() const override;
   bool reports_wire_data() const override { return true; }
+  sim::EnginePartition run_partition(const ir::Design& design,
+                                     const std::string& node,
+                                     mem::MemoryPool& pool,
+                                     const sim::EngineRunOptions& options,
+                                     std::size_t partition_index) override;
+};
+
+class NaiveEngine final : public PartitionedEngine {
+ public:
+  const std::string& name() const override;
   sim::EnginePartition run_partition(const ir::Design& design,
                                      const std::string& node,
                                      mem::MemoryPool& pool,

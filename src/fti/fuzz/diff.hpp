@@ -7,7 +7,8 @@
 //                    is torn down),
 //  2. "reference" -- the fuzz reference interpreter (a structurally
 //                    independent cycle-level engine, see reference.hpp),
-//  3. "naive"     -- the harness's full-sweep baseline simulator,
+//  3. "naive"     -- the full-evaluation baseline (the levelized
+//                    executor with a settle-until-stable sweep),
 //  4. "levelized" -- the statically scheduled compiled engine
 //                    (elab/levelized.hpp),
 //  5. "roundtrip" -- the event kernel again on the design after an XML

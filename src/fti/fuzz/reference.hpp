@@ -10,12 +10,12 @@
 // cross-checking the paper performs between simulated architectures and
 // the executed input algorithm, turned inward on the infrastructure.
 //
-// Beyond what harness::run_design_naive reports, this engine exposes the
-// observables the differential driver compares: final register/control
-// values per partition and the per-wire value-change traces of every
-// clocked wire (register q outputs and FSM-driven controls -- the wires
-// that are glitch-free by construction and thus comparable across
-// scheduling strategies).
+// Beyond cycle counts and memories, this engine exposes the observables
+// the differential driver compares: final register/control values per
+// partition and the per-wire value-change traces of every clocked wire
+// (register q outputs and FSM-driven controls -- the wires that are
+// glitch-free by construction and thus comparable across scheduling
+// strategies).
 #pragma once
 
 #include <cstdint>

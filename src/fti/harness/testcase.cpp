@@ -158,62 +158,11 @@ cache::Key source_key_of(const TestCase& test) {
   return hasher.key();
 }
 
-FlowArtifacts collect_artifacts(const ir::Design& design,
-                                const TestCase& test,
-                                const VerifyOptions& options,
-                                const cache::DesignCache::Entry& entry) {
-  FlowArtifacts artifacts;
-  artifacts.lo_source = util::count_lines(test.source);
-  // Serializing the design to XML -- or regenerating every HDL backend
-  // -- just to count report lines costs as much as the round-trip
-  // itself, so cached designs memoize the counts on the entry (first
-  // run pays, warm resubmissions read).  Cacheable runs never emit to
-  // disk (a non-empty emit_dir forces the cache off), so every artefact
-  // size is a pure function of the design.
-  if (entry) {
-    std::lock_guard<std::mutex> lock(entry->schedule_mutex);
-    if (!entry->xml_lines_valid) {
-      for (const std::string& node : design.rtg.nodes) {
-        const ir::Configuration& config = design.configuration(node);
-        entry->xml_datapath_lines +=
-            util::count_lines(xml::to_string(*ir::to_xml(config.datapath)));
-        entry->xml_fsm_lines +=
-            util::count_lines(xml::to_string(*ir::to_xml(config.fsm)));
-      }
-      entry->xml_rtg_lines =
-          util::count_lines(xml::to_string(*ir::to_xml(design.rtg)));
-      entry->xml_lines_valid = true;
-    }
-    artifacts.lo_xml_datapath = entry->xml_datapath_lines;
-    artifacts.lo_xml_fsm = entry->xml_fsm_lines;
-    artifacts.lo_xml_rtg = entry->xml_rtg_lines;
-    if (!options.generate_artifacts) {
-      return artifacts;
-    }
-    if (!entry->codegen_lines_valid) {
-      entry->hds_lines = util::count_lines(codegen::design_to_hds(design));
-      entry->vhdl_lines = util::count_lines(codegen::design_to_vhdl(design));
-      entry->verilog_lines =
-          util::count_lines(codegen::design_to_verilog(design));
-      entry->systemc_lines =
-          util::count_lines(codegen::design_to_systemc(design));
-      std::string dot;
-      for (const std::string& node : design.rtg.nodes) {
-        const ir::Configuration& config = design.configuration(node);
-        dot += codegen::datapath_to_dot(config.datapath);
-        dot += codegen::fsm_to_dot(config.fsm);
-      }
-      dot += codegen::rtg_to_dot(design.rtg);
-      entry->dot_lines = util::count_lines(dot);
-      entry->codegen_lines_valid = true;
-    }
-    artifacts.lo_hds = entry->hds_lines;
-    artifacts.lo_vhdl = entry->vhdl_lines;
-    artifacts.lo_verilog = entry->verilog_lines;
-    artifacts.lo_systemc = entry->systemc_lines;
-    artifacts.lo_dot = entry->dot_lines;
-    return artifacts;
-  }
+/// Line counts of the XML file set: datapath and FSM summed over the
+/// configurations, plus the RTG.
+void count_xml_lines(const ir::Design& design, FlowArtifacts& artifacts) {
+  artifacts.lo_xml_datapath = 0;
+  artifacts.lo_xml_fsm = 0;
   for (const std::string& node : design.rtg.nodes) {
     const ir::Configuration& config = design.configuration(node);
     artifacts.lo_xml_datapath +=
@@ -223,33 +172,138 @@ FlowArtifacts collect_artifacts(const ir::Design& design,
   }
   artifacts.lo_xml_rtg =
       util::count_lines(xml::to_string(*ir::to_xml(design.rtg)));
+}
+
+/// Every HDL backend's text, and the dot graphs of every configuration
+/// and the RTG.
+struct HdlTexts {
+  std::string hds;
+  std::string vhdl;
+  std::string verilog;
+  std::string systemc;
+  std::string dot;
+};
+
+HdlTexts generate_hdl(const ir::Design& design) {
+  HdlTexts hdl;
+  hdl.hds = codegen::design_to_hds(design);
+  hdl.vhdl = codegen::design_to_vhdl(design);
+  hdl.verilog = codegen::design_to_verilog(design);
+  hdl.systemc = codegen::design_to_systemc(design);
+  for (const std::string& node : design.rtg.nodes) {
+    const ir::Configuration& config = design.configuration(node);
+    hdl.dot += codegen::datapath_to_dot(config.datapath);
+    hdl.dot += codegen::fsm_to_dot(config.fsm);
+  }
+  hdl.dot += codegen::rtg_to_dot(design.rtg);
+  return hdl;
+}
+
+void count_hdl_lines(const HdlTexts& hdl, FlowArtifacts& artifacts) {
+  artifacts.lo_hds = util::count_lines(hdl.hds);
+  artifacts.lo_vhdl = util::count_lines(hdl.vhdl);
+  artifacts.lo_verilog = util::count_lines(hdl.verilog);
+  artifacts.lo_systemc = util::count_lines(hdl.systemc);
+  artifacts.lo_dot = util::count_lines(hdl.dot);
+}
+
+/// The artefact line counts of a cached design.  Serializing the design
+/// to XML -- or regenerating every HDL backend -- just to count report
+/// lines costs as much as the round-trip itself, so the counts are
+/// memoized on the entry (first run pays, warm resubmissions read).
+void memoized_line_counts(const ir::Design& design,
+                          const VerifyOptions& options,
+                          const cache::CachedDesign& entry,
+                          FlowArtifacts& artifacts) {
+  std::lock_guard<std::mutex> lock(entry.schedule_mutex);
+  if (!entry.xml_lines_valid) {
+    count_xml_lines(design, artifacts);
+    entry.xml_datapath_lines = artifacts.lo_xml_datapath;
+    entry.xml_fsm_lines = artifacts.lo_xml_fsm;
+    entry.xml_rtg_lines = artifacts.lo_xml_rtg;
+    entry.xml_lines_valid = true;
+  }
+  artifacts.lo_xml_datapath = entry.xml_datapath_lines;
+  artifacts.lo_xml_fsm = entry.xml_fsm_lines;
+  artifacts.lo_xml_rtg = entry.xml_rtg_lines;
+  if (!options.generate_artifacts) {
+    return;
+  }
+  if (!entry.codegen_lines_valid) {
+    count_hdl_lines(generate_hdl(design), artifacts);
+    entry.hds_lines = artifacts.lo_hds;
+    entry.vhdl_lines = artifacts.lo_vhdl;
+    entry.verilog_lines = artifacts.lo_verilog;
+    entry.systemc_lines = artifacts.lo_systemc;
+    entry.dot_lines = artifacts.lo_dot;
+    entry.codegen_lines_valid = true;
+  }
+  artifacts.lo_hds = entry.hds_lines;
+  artifacts.lo_vhdl = entry.vhdl_lines;
+  artifacts.lo_verilog = entry.verilog_lines;
+  artifacts.lo_systemc = entry.systemc_lines;
+  artifacts.lo_dot = entry.dot_lines;
+}
+
+FlowArtifacts collect_artifacts(const ir::Design& design,
+                                const TestCase& test,
+                                const VerifyOptions& options,
+                                const cache::DesignCache::Entry& entry) {
+  FlowArtifacts artifacts;
+  artifacts.lo_source = util::count_lines(test.source);
+  // Cacheable runs never emit to disk (a non-empty emit_dir forces the
+  // cache off), so every artefact size of a cached design is a pure
+  // function of the design.
+  if (entry) {
+    memoized_line_counts(design, options, *entry, artifacts);
+    return artifacts;
+  }
+  count_xml_lines(design, artifacts);
   if (!options.generate_artifacts) {
     return artifacts;
   }
-  std::string hds = codegen::design_to_hds(design);
-  std::string vhdl = codegen::design_to_vhdl(design);
-  std::string verilog = codegen::design_to_verilog(design);
-  std::string systemc = codegen::design_to_systemc(design);
-  std::string dot;
-  for (const std::string& node : design.rtg.nodes) {
-    const ir::Configuration& config = design.configuration(node);
-    dot += codegen::datapath_to_dot(config.datapath);
-    dot += codegen::fsm_to_dot(config.fsm);
-  }
-  dot += codegen::rtg_to_dot(design.rtg);
-  artifacts.lo_hds = util::count_lines(hds);
-  artifacts.lo_vhdl = util::count_lines(vhdl);
-  artifacts.lo_verilog = util::count_lines(verilog);
-  artifacts.lo_systemc = util::count_lines(systemc);
-  artifacts.lo_dot = util::count_lines(dot);
+  HdlTexts hdl = generate_hdl(design);
+  count_hdl_lines(hdl, artifacts);
   if (!options.emit_dir.empty()) {
-    util::write_file(options.emit_dir / (test.name + ".hds"), hds);
-    util::write_file(options.emit_dir / (test.name + ".vhdl"), vhdl);
-    util::write_file(options.emit_dir / (test.name + ".v"), verilog);
-    util::write_file(options.emit_dir / (test.name + ".sc.cpp"), systemc);
-    util::write_file(options.emit_dir / (test.name + ".dot"), dot);
+    util::write_file(options.emit_dir / (test.name + ".hds"), hdl.hds);
+    util::write_file(options.emit_dir / (test.name + ".vhdl"), hdl.vhdl);
+    util::write_file(options.emit_dir / (test.name + ".v"), hdl.verilog);
+    util::write_file(options.emit_dir / (test.name + ".sc.cpp"),
+                     hdl.systemc);
+    util::write_file(options.emit_dir / (test.name + ".dot"), hdl.dot);
   }
   return artifacts;
+}
+
+/// Writes `<name>.verdict` when the run emits to disk.
+void write_verdict(const TestCase& test, const VerifyOptions& options,
+                   const std::string& verdict) {
+  if (!options.emit_dir.empty()) {
+    util::write_file(options.emit_dir / (test.name + ".verdict"),
+                     verdict + "\n");
+  }
+}
+
+/// Applies the request's lint gate to `report` (the semantic tier
+/// filtered out unless requested).  Returns true when the gate blocks the
+/// design, with the outcome marked failed and the verdict written.
+bool lint_gate_blocks(const lint::Report& report, const TestCase& test,
+                      const VerifyOptions& options, VerifyOutcome& outcome) {
+  if (options.lint_gate == lint::Gate::kOff) {
+    return false;
+  }
+  outcome.lint = options.semantic ? report : lint::without_semantic(report);
+  if (!lint::blocks(options.lint_gate, outcome.lint)) {
+    return false;
+  }
+  outcome.lint_blocked = true;
+  outcome.passed = false;
+  outcome.message = "lint gate: design '" + outcome.lint.design + "' has " +
+                    std::to_string(outcome.lint.errors()) + " error(s), " +
+                    std::to_string(outcome.lint.warnings()) +
+                    " warning(s); simulation not started";
+  write_verdict(test, options, outcome.message);
+  return true;
 }
 
 }  // namespace
@@ -289,21 +343,10 @@ VerifyOutcome run_test_case(const TestCase& test,
     // still blocks exactly like a cold run would.
     outcome.cache_hit = true;
     outcome.compile_seconds = watch.seconds();
-    if (options.lint_gate != lint::Gate::kOff) {
-      // The cached report carries the semantic tier; a --semantic=off
-      // request sees the filtered view without re-running the fixpoint.
-      outcome.lint = options.semantic ? entry->lint
-                                      : lint::without_semantic(entry->lint);
-      if (lint::blocks(options.lint_gate, outcome.lint)) {
-        outcome.lint_blocked = true;
-        outcome.passed = false;
-        outcome.message =
-            "lint gate: design '" + outcome.lint.design + "' has " +
-            std::to_string(outcome.lint.errors()) + " error(s), " +
-            std::to_string(outcome.lint.warnings()) +
-            " warning(s); simulation not started";
-        return outcome;
-      }
+    // The cached report carries the semantic tier; a --semantic=off
+    // request sees the filtered view without re-running the fixpoint.
+    if (lint_gate_blocks(entry->lint, test, options, outcome)) {
+      return outcome;
     }
     design = entry->design.get();
   } else {
@@ -339,23 +382,8 @@ VerifyOutcome run_test_case(const TestCase& test,
       lint_options.semantic = options.semantic || cacheable;
       lint_report = lint::lint_design(outcome.compiled.design, lint_options);
     }
-    if (options.lint_gate != lint::Gate::kOff) {
-      outcome.lint = options.semantic ? lint_report
-                                      : lint::without_semantic(lint_report);
-      if (lint::blocks(options.lint_gate, outcome.lint)) {
-        outcome.lint_blocked = true;
-        outcome.passed = false;
-        outcome.message =
-            "lint gate: design '" + outcome.lint.design + "' has " +
-            std::to_string(outcome.lint.errors()) + " error(s), " +
-            std::to_string(outcome.lint.warnings()) +
-            " warning(s); simulation not started";
-        if (!options.emit_dir.empty()) {
-          util::write_file(options.emit_dir / (test.name + ".verdict"),
-                           outcome.message + "\n");
-        }
-        return outcome;
-      }
+    if (lint_gate_blocks(lint_report, test, options, outcome)) {
+      return outcome;
     }
 
     // 3. XML round-trip (the simulator consumes the re-parsed design).
@@ -448,10 +476,7 @@ VerifyOutcome run_test_case(const TestCase& test,
           "' stopped with reason '" +
           sim::to_string(runs[lane].partitions.back().reason) + "'";
       outcome.run = std::move(runs[lane]);
-      if (!options.emit_dir.empty()) {
-        util::write_file(options.emit_dir / (test.name + ".verdict"),
-                         outcome.message + "\n");
-      }
+      write_verdict(test, options, outcome.message);
       return outcome;
     }
   }
@@ -537,10 +562,9 @@ VerifyOutcome run_test_case(const TestCase& test,
                          options.emit_dir / (test.name + "." + array +
                                              ".dat"));
     }
-    util::write_file(options.emit_dir / (test.name + ".verdict"),
-                     (outcome.passed ? "PASS" : "FAIL: " + outcome.message) +
-                         "\n");
   }
+  write_verdict(test, options,
+                outcome.passed ? "PASS" : "FAIL: " + outcome.message);
   return outcome;
 }
 

@@ -238,6 +238,11 @@ void validate(const Datapath& datapath) {
     if (memory.depth == 0) {
       err("memory '" + memory.name + "' has zero depth");
     }
+    if (memory.depth > util::kMaxMemoryWords) {
+      err("memory '" + memory.name + "' has depth " +
+          std::to_string(memory.depth) + "; the limit is " +
+          std::to_string(util::kMaxMemoryWords));
+    }
     if (memory.width == 0 || memory.width > 64) {
       err("memory '" + memory.name + "' has bad width");
     }

@@ -76,6 +76,14 @@ class CancelledError : public Error {
 /// its typed error.  Real inputs stay within a handful of levels.
 inline constexpr std::size_t kMaxNestingDepth = 256;
 
+/// Most words one memory may hold: kernel array parameters (checked by
+/// sema) and XML <memory depth=...> declarations (checked by
+/// ir::validate), both before anything is allocated.  A declaration past
+/// it is a typed input error instead of a std::bad_alloc that takes the
+/// process down.  The largest memory any shipped workload uses is
+/// bench_scaling's 345,600-pixel image.
+inline constexpr std::size_t kMaxMemoryWords = std::size_t{1} << 24;
+
 /// Aborts with a readable message; used for internal invariants only.
 [[noreturn]] void assert_fail(const char* expr, const char* file, int line,
                               const std::string& message);

@@ -385,5 +385,26 @@ TEST(EventKernelCounts, AccumulatorEventsAndDeltasArePinned) {
   EXPECT_EQ(stats.timesteps, 52u);
 }
 
+TEST(NaiveKernelCounts, AccumulatorEvaluationsAndSweepsArePinned) {
+  // Values from the hand-written full-evaluation interpreter the naive
+  // engine replaced: the settle-until-stable sweep must reproduce its
+  // work exactly.  Events are the same too: the accumulator's registers
+  // reset to zero, so powering them up commits nothing.
+  mem::MemoryPool pool;
+  sim::EngineRunOptions options;
+  options.max_cycles_per_partition = 1000;
+  sim::EngineResult result = make_engine("naive")->run(
+      ir::make_single_design("acc_design",
+                             fti::testing::make_accumulator(25)),
+      pool, options);
+  ASSERT_TRUE(result.completed);
+  const sim::KernelStats& stats = result.partitions[0].stats;
+  EXPECT_EQ(result.partitions[0].cycles, 26u);
+  EXPECT_EQ(stats.evaluations, 242u);
+  EXPECT_EQ(stats.delta_cycles, 54u);
+  EXPECT_EQ(stats.events, 60u);
+  EXPECT_EQ(stats.timesteps, 27u);
+}
+
 }  // namespace
 }  // namespace fti::elab

@@ -2,7 +2,7 @@
 
 #include <filesystem>
 
-#include "fti/harness/baseline.hpp"
+#include "fti/elab/engines.hpp"
 #include "fti/harness/metrics.hpp"
 #include "fti/harness/suite.hpp"
 #include "fti/harness/testcase.hpp"
@@ -228,12 +228,19 @@ TEST(Baseline, MatchesGoldenOnScalarKernel) {
   pool.create("a", 8, 32);
   pool.create("b", 8, 32);
   load_inputs(pool, "a", test.inputs.at("a"));
-  NaiveRunStats stats = run_design_naive(compiled.design, pool);
-  ASSERT_TRUE(stats.completed);
+  sim::EngineResult run = elab::make_engine("naive")->run(compiled.design,
+                                                         pool);
+  ASSERT_TRUE(run.completed);
   EXPECT_EQ(pool.get("b").words(),
             (std::vector<std::uint64_t>{1, 4, 9, 16, 25, 36, 49, 64}));
-  EXPECT_GT(stats.unit_evaluations, stats.cycles);
-  EXPECT_GE(stats.sweeps, stats.cycles);
+  std::uint64_t evaluations = 0;
+  std::uint64_t sweeps = 0;
+  for (const sim::EnginePartition& partition : run.partitions) {
+    evaluations += partition.stats.evaluations;
+    sweeps += partition.stats.delta_cycles;
+  }
+  EXPECT_GT(evaluations, run.total_cycles());
+  EXPECT_GE(sweeps, run.total_cycles());
 }
 
 TEST(Baseline, CycleBudgetStops) {
@@ -242,11 +249,12 @@ TEST(Baseline, CycleBudgetStops) {
       "kernel spin(int m[1]) { int x = 1; while (x) { m[0] = x; } }",
       options);
   mem::MemoryPool pool;
-  NaiveRunOptions run_options;
+  sim::EngineRunOptions run_options;
   run_options.max_cycles_per_partition = 100;
-  NaiveRunStats stats = run_design_naive(compiled.design, pool, run_options);
-  EXPECT_FALSE(stats.completed);
-  EXPECT_EQ(stats.cycles, 100u);
+  sim::EngineResult run =
+      elab::make_engine("naive")->run(compiled.design, pool, run_options);
+  EXPECT_FALSE(run.completed);
+  EXPECT_EQ(run.total_cycles(), 100u);
 }
 
 TEST(LoadInputs, PrefixFillAndBounds) {

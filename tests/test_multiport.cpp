@@ -3,9 +3,9 @@
 // expected cycle-count win when the memory-port bottleneck is widened.
 #include <gtest/gtest.h>
 
+#include "fti/elab/engines.hpp"
 #include "fti/golden/fir.hpp"
 #include "fti/golden/rng.hpp"
-#include "fti/harness/baseline.hpp"
 #include "fti/harness/testcase.hpp"
 #include "fti/ir/serde.hpp"
 #include "fti/xml/writer.hpp"
@@ -226,10 +226,11 @@ TEST(MultiPortBaseline, AgreesWithEventKernel) {
   naive_pool.create("a", 16, 16);
   naive_pool.create("out", 8, 32);
   harness::load_inputs(naive_pool, "a", inputs);
-  auto naive_run = harness::run_design_naive(compiled.design, naive_pool);
+  auto naive_run =
+      elab::make_engine("naive")->run(compiled.design, naive_pool);
   ASSERT_TRUE(naive_run.completed);
   EXPECT_EQ(event_pool.get("out").words(), naive_pool.get("out").words());
-  EXPECT_EQ(event_run.total_cycles(), naive_run.cycles);
+  EXPECT_EQ(event_run.total_cycles(), naive_run.total_cycles());
 }
 
 // Property sweep: port counts never change results.

@@ -5,10 +5,11 @@
 //  * ops::eval_binop / eval_unop against a slow 128-bit model written
 //    from the documented semantics (alu.hpp), including mixed operand
 //    widths for the signed ops;
-//  * levelized, batched (1, 64 and 65 lanes, one operand pair per lane)
-//    and compiled against eval_binop / eval_unop, through one design per
-//    width that instantiates every op (unops also read an operand of a
-//    different width).  compiled skips without a host compiler.
+//  * levelized, batched (1, 64 and 65 lanes, one operand pair per lane),
+//    compiled and the fuzz reference interpreter against eval_binop /
+//    eval_unop, through one design per width that instantiates every op
+//    (unops also read an operand of a different width).  compiled skips
+//    without a host compiler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 
 #include "fti/elab/compiled.hpp"
 #include "fti/elab/engines.hpp"
+#include "fti/fuzz/reference.hpp"
 #include "fti/mem/storage.hpp"
 #include "fti/ops/alu.hpp"
 #include "fti/sim/engine.hpp"
@@ -348,6 +350,11 @@ INSTANTIATE_TEST_SUITE_P(Widths, OpTableEngines, ::testing::ValuesIn(kWidths),
 
 TEST_P(OpTableEngines, LevelizedMatchesAlu) {
   check_single_runs("levelized", table_design(GetParam()));
+}
+
+TEST_P(OpTableEngines, ReferenceMatchesAlu) {
+  fuzz::register_reference_engine();
+  check_single_runs("reference", table_design(GetParam()));
 }
 
 TEST_P(OpTableEngines, BatchedMatchesAluAt1And64And65Lanes) {

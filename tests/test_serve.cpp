@@ -108,6 +108,25 @@ TEST_F(ServeTest, DeeplyNestedKernelFailsSoftlyAndDaemonKeepsAnswering) {
   EXPECT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
 }
 
+TEST_F(ServeTest, HugeMemoryKernelFailsSoftlyAndDaemonKeepsAnswering) {
+  // Four trillion words would abort the daemon with std::bad_alloc; sema
+  // rejects the array before anything is allocated, so only the job fails.
+  std::filesystem::path kernel = unique_socket("huge_memory");
+  kernel.replace_extension(".k");
+  util::write_file(kernel,
+                   "kernel big(int m[4000000000000]) { m[0] = 1; }\n");
+  util::JsonValue reply = roundtrip("{\"cmd\": \"verify\", \"kernel\": \"" +
+                                    kernel.string() + "\"}");
+  std::filesystem::remove(kernel);
+  ASSERT_TRUE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("status").as_string(), "error");
+  EXPECT_EQ(reply.at("exit_code").as_u64(), 2u);
+  EXPECT_NE(reply.at("errors").as_string().find("the limit is"),
+            std::string::npos)
+      << reply.at("errors").as_string();
+  EXPECT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
+}
+
 TEST_F(ServeTest, WarmResubmissionHitsCacheWithIdenticalReport) {
   std::string submit = "{\"cmd\": \"verify\", \"kernel\": \"" +
                        kernel_path("saxpy.k").string() + "\"}";

@@ -25,7 +25,7 @@ constexpr std::size_t kMaxReportLines = 50;
 Observation observe_reference(const ir::Design& design,
                               mem::MemoryPool& pool,
                               const sim::EngineRunOptions& ropts) {
-  ReferenceEngine engine{ReferenceOptions{}};
+  ReferenceEngine engine;
   try {
     return observe_result("reference", engine.run(design, pool, ropts),
                           pool);

@@ -14,8 +14,9 @@ using sim::Bits;
 class ReferenceSim {
  public:
   ReferenceSim(const ir::Configuration& config, mem::MemoryPool& pool,
+               const sim::EngineRunOptions& run,
                const ReferenceOptions& options)
-      : config_(config), options_(options) {
+      : config_(config), run_(run), options_(options) {
     const ir::Datapath& datapath = config.datapath;
     for (const ir::Wire& wire : datapath.wires) {
       wire_index_.emplace(wire.name, values_.size());
@@ -84,7 +85,7 @@ class ReferenceSim {
     drive_controls(result);
     settle();
     while (values_[done_index_].is_zero()) {
-      if (result.cycles >= options_.max_cycles_per_partition) {
+      if (result.cycles >= run_.max_cycles_per_partition) {
         finalize(result);
         return result;  // completed stays false
       }
@@ -198,7 +199,7 @@ class ReferenceSim {
   }
 
   void settle() {
-    for (std::uint32_t sweep = 0; sweep < options_.max_sweeps; ++sweep) {
+    for (std::uint32_t sweep = 0; sweep < run_.max_sweeps; ++sweep) {
       bool changed = false;
       for (const ir::Unit* unit : combinational_) {
         changed = evaluate_unit(*unit) || changed;
@@ -289,6 +290,7 @@ class ReferenceSim {
   }
 
   const ir::Configuration& config_;
+  const sim::EngineRunOptions& run_;
   const ReferenceOptions& options_;
   std::map<std::string, std::size_t> wire_index_;
   std::vector<Bits> values_;
@@ -319,13 +321,14 @@ std::vector<std::string> traced_wires(const ir::Datapath& datapath) {
 }
 
 ReferenceResult run_reference(const ir::Design& design, mem::MemoryPool& pool,
+                              const sim::EngineRunOptions& run,
                               const ReferenceOptions& options) {
   ir::validate(design);
   ReferenceResult result;
   result.completed = true;
   std::string node = design.rtg.initial;
   while (!node.empty()) {
-    ReferenceSim simulator(design.configuration(node), pool, options);
+    ReferenceSim simulator(design.configuration(node), pool, run, options);
     ReferencePartition partition = simulator.run(node);
     bool completed = partition.completed;
     result.partitions.push_back(std::move(partition));
@@ -347,11 +350,8 @@ sim::EnginePartition ReferenceEngine::run_partition(
     const ir::Design& design, const std::string& node, mem::MemoryPool& pool,
     const sim::EngineRunOptions& options, std::size_t partition_index) {
   (void)partition_index;
-  ReferenceOptions ropts = options_;
-  ropts.max_cycles_per_partition = options.max_cycles_per_partition;
-  ropts.max_sweeps = options.max_sweeps;
   util::Stopwatch watch;
-  ReferenceSim simulator(design.configuration(node), pool, ropts);
+  ReferenceSim simulator(design.configuration(node), pool, options, options_);
   ReferencePartition partition = simulator.run(node);
   sim::EnginePartition run;
   run.node = partition.node;

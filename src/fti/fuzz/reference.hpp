@@ -32,10 +32,9 @@
 
 namespace fti::fuzz {
 
+/// What sets the reference apart from the other engines.  Its cycle and
+/// settle-sweep budgets are sim::EngineRunOptions', like every engine's.
 struct ReferenceOptions {
-  std::uint64_t max_cycles_per_partition = 100'000;
-  /// Settle-sweep limit per cycle (combinational loop guard).
-  std::uint32_t max_sweeps = 1000;
   /// Override for binary-FU semantics.  Tests inject operator bugs here
   /// (e.g. a flipped carry) to prove the differential harness catches and
   /// shrinks them; null means ops::eval_binop.
@@ -65,6 +64,7 @@ struct ReferenceResult {
 /// Runs the whole design over `pool` (all temporal partitions, stopping
 /// early like the RTG executor when one exhausts its cycle budget).
 ReferenceResult run_reference(const ir::Design& design, mem::MemoryPool& pool,
+                              const sim::EngineRunOptions& run = {},
                               const ReferenceOptions& options = {});
 
 /// The wires whose traces/finals the reference engine reports for one
@@ -78,8 +78,6 @@ std::vector<std::string> traced_wires(const ir::Datapath& datapath);
 /// differential driver treats it as just another lane.  Constructed
 /// directly when a test injects operator bugs through
 /// ReferenceOptions::eval_binop; the registry entry uses defaults.
-/// EngineRunOptions::max_cycles_per_partition / max_sweeps override the
-/// corresponding ReferenceOptions fields at run time.
 class ReferenceEngine final : public elab::PartitionedEngine {
  public:
   ReferenceEngine() = default;

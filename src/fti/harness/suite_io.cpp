@@ -96,15 +96,7 @@ TestCase load_test_case(const std::filesystem::path& kernel_path) {
     if (array.empty()) {
       continue;
     }
-    auto words = mem::parse_mem_text(util::read_file(entry.path()), 64);
-    std::vector<std::uint64_t> values;
-    for (const auto& word : words) {
-      if (word.address >= values.size()) {
-        values.resize(word.address + 1, 0);
-      }
-      values[word.address] = word.value;
-    }
-    test.inputs[array] = std::move(values);
+    test.inputs[array] = mem::load_mem_values(entry.path());
   }
   return test;
 }

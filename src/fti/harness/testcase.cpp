@@ -416,12 +416,14 @@ VerifyOutcome run_test_case(const TestCase& test,
   check_cancel(options);
   outcome.artifacts = collect_artifacts(*design, test, options, entry);
 
-  // 4. Golden runs, one per stimulus lane.  Lane 0 replays the declared
-  //    inputs; lanes k >= 1 replay the same seed-derived random contents
-  //    the matching simulated lane starts from.
+  // 4. Golden runs, one per stimulus lane, of one model resolved for the
+  //    job.  Lane 0 replays the declared inputs; lanes k >= 1 replay the
+  //    same seed-derived random contents the matching simulated lane
+  //    starts from.
   std::uint32_t lane_count = std::max<std::uint32_t>(1, options.lanes);
   watch.reset();
   std::deque<mem::MemoryPool> golden_pools(lane_count);
+  const compiler::GoldenModel golden(program, sema);
   compiler::InterpOptions interp_options;
   interp_options.scalar_args = test.scalar_args;
   for (std::uint32_t lane = 0; lane < lane_count; ++lane) {
@@ -432,7 +434,7 @@ VerifyOutcome run_test_case(const TestCase& test,
       prime_random_lane(sema, options.lane_seed, lane, golden_pools[lane]);
     }
     compiler::InterpStats stats =
-        compiler::run_program(program, golden_pools[lane], interp_options);
+        golden.run(golden_pools[lane], interp_options);
     if (lane == 0) {
       outcome.golden_stats = stats;
     }

@@ -72,6 +72,23 @@ std::vector<MemWord> parse_mem_text(const std::string& text,
   return out;
 }
 
+std::vector<std::uint64_t> load_mem_values(const std::filesystem::path& path) {
+  std::vector<std::uint64_t> values;
+  for (const MemWord& word : parse_mem_text(util::read_file(path), 64)) {
+    if (word.address >= util::kMaxMemoryWords) {
+      throw util::IoError("mem file '" + path.string() +
+                          "' stores to address " +
+                          std::to_string(word.address) + "; the limit is " +
+                          std::to_string(util::kMaxMemoryWords) + " words");
+    }
+    if (word.address >= values.size()) {
+      values.resize(word.address + 1, 0);
+    }
+    values[word.address] = word.value;
+  }
+  return values;
+}
+
 void load_mem_text(MemoryImage& image, const std::string& text) {
   for (const MemWord& word : parse_mem_text(text, image.width())) {
     if (word.address >= image.depth()) {

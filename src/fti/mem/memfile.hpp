@@ -27,6 +27,13 @@ struct MemWord {
 std::vector<MemWord> parse_mem_text(const std::string& text,
                                     std::uint32_t width);
 
+/// Reads a file as the dense word list of a test input: entry i holds
+/// the value stored at address i (parsed at full width; loading into an
+/// image masks it), 0 where the file stores nothing.  Throws IoError when
+/// an address reaches util::kMaxMemoryWords, before anything is allocated
+/// for it.
+std::vector<std::uint64_t> load_mem_values(const std::filesystem::path& path);
+
 /// Loads file contents into `image`; addresses must be in range.
 void load_mem_file(MemoryImage& image, const std::filesystem::path& path);
 

@@ -19,7 +19,9 @@
 //  * ops::eval_binop / eval_unop (alu.cpp) wrap the kernels for Bits;
 //  * the batched engine's wide lane loops call them through
 //    visit_binop / visit_unop below, one loop instantiation per op;
-//  * codegen::cpp emits one `fti_<op>(...)` call per functional unit.
+//  * codegen::cpp emits one `fti_<op>(...)` call per functional unit;
+//  * the golden interpreter (compiler/interp.cpp) binds each operator
+//    node to its kernel at 32 bits through visit_binop / visit_unop.
 // Kept independent on purpose: the Verilog emitter's zero-guard arms
 // (HDL text), the abstract transfer functions of xsim/fourstate.cpp and
 // lint/dataflow.cpp, and the fuzz reference interpreter's execution loop.

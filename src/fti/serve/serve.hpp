@@ -84,6 +84,9 @@ class Server {
   /// `status`; past this many, the job that finished first is dropped.
   /// Queued and running jobs are never dropped.
   static constexpr std::size_t kMaxFinishedJobs = 1024;
+  /// Requests are one line each; a request longer than this is a
+  /// protocol violation, not a real job, and gets an error reply.
+  static constexpr std::size_t kMaxRequestBytes = 16u << 20;
 
   explicit Server(ServerOptions options);
   ~Server();

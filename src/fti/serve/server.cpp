@@ -20,10 +20,6 @@
 namespace fti::serve {
 namespace {
 
-/// Requests and replies are one line each; a raw read this large is a
-/// protocol violation, not a real job.
-constexpr std::size_t kMaxRequestBytes = 16u << 20;
-
 util::Error protocol_error(const std::string& message) {
   return util::Error("serve", message);
 }
@@ -301,7 +297,8 @@ void Server::handle_connection(int fd) {
   std::string line;
   char buffer[4096];
   bool overflow = false;
-  while (line.find('\n') == std::string::npos) {
+  bool newline = false;
+  while (!newline) {
     ssize_t n = ::read(fd, buffer, sizeof(buffer));
     if (n < 0 && errno == EINTR) {
       continue;
@@ -309,6 +306,9 @@ void Server::handle_connection(int fd) {
     if (n <= 0) {
       break;  // EOF without newline still terminates the request
     }
+    // Search only the new chunk, so a long request costs linear time.
+    newline = std::memchr(buffer, '\n', static_cast<std::size_t>(n)) !=
+              nullptr;
     line.append(buffer, static_cast<std::size_t>(n));
     if (line.size() > kMaxRequestBytes) {
       overflow = true;
@@ -440,15 +440,18 @@ std::string Server::submit_job(const std::string& kind,
   std::function<int(std::ostream&, std::ostream&, Job&)> body;
   if (kind == "verify") {
     flow::VerifyRequest request;
-    request.test = harness::load_test_case(doc.at("kernel").as_string());
+    const std::filesystem::path kernel = doc.at("kernel").as_string();
     request.engine = str_or(doc, "engine", request.engine);
     request.lint_gate = gate_or(doc, request.lint_gate);
     request.semantic = bool_or(doc, "semantic", request.semantic);
     request.lanes = static_cast<std::uint32_t>(u64_or(doc, "lanes", 1));
     request.lane_seed = u64_or(doc, "lane_seed", 1);
-    job->name = str_or(doc, "name", request.test.name);
-    body = [this, request = std::move(request)](std::ostream& out,
-                                                std::ostream& err, Job& job) {
+    job->name = str_or(doc, "name", kernel.stem().string());
+    body = [this, kernel, request = std::move(request)](
+               std::ostream& out, std::ostream& err, Job& job) mutable {
+      // Reading the kernel and its .args/.dat sidecars is part of the
+      // job, so a bad input file fails this one job with exit code 2.
+      request.test = harness::load_test_case(kernel);
       flow::FlowContext context{&cache_, &job.cancel};
       flow::VerifyResult result = flow::run_verify(request, context, out, err);
       job.cache_hit = result.outcome.cache_hit;

@@ -1,20 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "fti/compiler/interp.hpp"
 #include "fti/compiler/parser.hpp"
+#include "fti/golden/fdct.hpp"
+#include "fti/golden/hamming.hpp"
+#include "fti/harness/suite_io.hpp"
 #include "fti/util/error.hpp"
 
 namespace fti::compiler {
 namespace {
 
-/// Runs `source` and returns the contents of array `out` afterwards.
-std::vector<std::uint64_t> run(const std::string& source,
-                               std::map<std::string, std::int64_t> args = {},
-                               std::map<std::string,
-                                        std::vector<std::uint64_t>>
-                                   inputs = {}) {
+using Inputs = std::map<std::string, std::vector<std::uint64_t>>;
+
+/// Runs `source` over a pool holding every array parameter, primed from
+/// `inputs`, and returns the run's stats.
+InterpStats run_into(mem::MemoryPool& pool, const std::string& source,
+                     std::map<std::string, std::int64_t> args,
+                     const Inputs& inputs) {
   Program program = parse_program(source);
-  mem::MemoryPool pool;
   for (const Param& param : program.params) {
     if (param.is_array) {
       auto& image =
@@ -29,8 +34,28 @@ std::vector<std::uint64_t> run(const std::string& source,
   }
   InterpOptions options;
   options.scalar_args = std::move(args);
-  run_program(program, pool, options);
+  return run_program(program, pool, options);
+}
+
+/// Runs `source` and returns the contents of array `out` afterwards.
+std::vector<std::uint64_t> run(const std::string& source,
+                               std::map<std::string, std::int64_t> args = {},
+                               const Inputs& inputs = {}) {
+  mem::MemoryPool pool;
+  run_into(pool, source, std::move(args), inputs);
   return pool.get("out").words();
+}
+
+/// The message of the `Thrown` that `body` throws, or "" when it throws
+/// none; any other exception escapes and fails the test.
+template <typename Thrown, typename Body>
+std::string thrown_text(Body&& body) {
+  try {
+    body();
+  } catch (const Thrown& error) {
+    return error.what();
+  }
+  return "";
 }
 
 TEST(Interp, WrappingArithmetic) {
@@ -151,25 +176,36 @@ TEST(Interp, Builtins) {
 }
 
 TEST(Interp, OutOfBoundsThrows) {
-  EXPECT_THROW(run("kernel k(int out[2]) { out[5] = 1; }"),
-               util::SimError);
-  EXPECT_THROW(run("kernel k(int a[2], int out[1]) { out[0] = a[9]; }"),
-               util::SimError);
+  EXPECT_EQ(thrown_text<util::SimError>([] {
+              run("kernel k(int out[2]) {\n  out[5] = 1;\n}\n");
+            }),
+            "sim: golden model: 'out[5]' out of bounds (size 2) at line 2");
+  EXPECT_EQ(thrown_text<util::SimError>([] {
+              run("kernel k(int a[2], int out[1]) {\n\n"
+                  "  out[0] = a[9];\n}\n");
+            }),
+            "sim: golden model: 'a[9]' out of bounds (size 2) at line 3");
 }
 
 TEST(Interp, MissingScalarArgThrows) {
-  EXPECT_THROW(run("kernel k(int out[1], int n) { out[0] = n; }"),
-               util::CompileError);
+  EXPECT_EQ(thrown_text<util::CompileError>([] {
+              run("kernel k(int out[1], int n) { out[0] = n; }");
+            }),
+            "compile: scalar parameter 'n' has no bound value");
 }
 
 TEST(Interp, StatementBudgetGuardsNontermination) {
   Program program = parse_program(
-      "kernel k(int out[1]) { int x = 1; while (x > 0) { x = 1; } }");
+      "kernel k(int out[1]) {\n  int x = 1;\n"
+      "  while (x > 0) {\n    x = 1;\n  }\n}\n");
   mem::MemoryPool pool;
   pool.create("out", 1, 32);
   InterpOptions options;
   options.max_statements = 10000;
-  EXPECT_THROW(run_program(program, pool, options), util::SimError);
+  EXPECT_EQ(thrown_text<util::SimError>(
+                [&] { run_program(program, pool, options); }),
+            "sim: golden model exceeded 10000 statements near line 4 -- "
+            "non-terminating input?");
 }
 
 TEST(Interp, StatsAreCounted) {
@@ -186,6 +222,53 @@ TEST(Interp, StatsAreCounted) {
   EXPECT_EQ(stats.stores, 4u);
   EXPECT_GT(stats.operations, 8u);  // 4 adds + 5 compares + 4 increments
   EXPECT_GT(stats.statements, 8u);
+}
+
+/// statements / operations / loads / stores of one run.
+std::vector<std::uint64_t> counts(const InterpStats& stats) {
+  return {stats.statements, stats.operations, stats.loads, stats.stores};
+}
+
+// The parent interpreter's counts, recorded before the resolve/run split:
+// a faster golden model must do exactly the same work.
+TEST(InterpKernelCounts, ExampleKernelsArePinned) {
+  const std::filesystem::path kernels =
+      std::filesystem::path(FTI_TEST_DATA_DIR).parent_path().parent_path() /
+      "examples" / "kernels";
+  const std::map<std::string, std::vector<std::uint64_t>> pinned = {
+      {"saxpy", {67, 65, 32, 16}},
+      {"matmul4", {393, 605, 128, 16}},
+      {"popcount", {379, 345, 8, 8}},
+      {"clip", {263, 194, 64, 64}},
+  };
+  for (const auto& [name, want] : pinned) {
+    harness::TestCase test = harness::load_test_case(kernels / (name + ".k"));
+    mem::MemoryPool pool;
+    EXPECT_EQ(counts(run_into(pool, test.source, test.scalar_args,
+                              test.inputs)),
+              want)
+        << name;
+  }
+}
+
+TEST(InterpKernelCounts, FdctAndHammingArePinned) {
+  std::vector<std::uint64_t> pixels(4 * golden::kBlockPixels);
+  for (std::size_t i = 0; i < pixels.size(); ++i) {
+    pixels[i] = (i * 97 + 13) & 0xFF;
+  }
+  for (bool two_stage : {false, true}) {
+    mem::MemoryPool pool;
+    // The second stage adds one statement: the `stage;` boundary.
+    EXPECT_EQ(counts(run_into(pool, golden::fdct_source(4, two_stage),
+                              {{"nblocks", 4}}, {{"in", pixels}})),
+              (std::vector<std::uint64_t>{two_stage ? 3631u : 3630u, 5882,
+                                          512, 512}))
+        << "two_stage " << two_stage;
+  }
+  mem::MemoryPool pool;
+  EXPECT_EQ(counts(run_into(pool, golden::hamming_source(256), {{"n", 256}},
+                            {{"code", golden::make_codewords(256, 5, 7)}})),
+            (std::vector<std::uint64_t>{4685, 11120, 256, 256}));
 }
 
 TEST(Interp, StageIsANoOpForSequentialSemantics) {

@@ -127,6 +127,27 @@ TEST_F(ServeTest, HugeMemoryKernelFailsSoftlyAndDaemonKeepsAnswering) {
   EXPECT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
 }
 
+TEST_F(ServeTest, HugeAddressDataFileFailsSoftlyAndDaemonKeepsAnswering) {
+  // A 15-byte saxpy.x.dat sidecar storing to address 99,999,999,999 would
+  // make the loader zero ~800 GB; it fails its one job as an input error.
+  std::filesystem::path dir = unique_socket("huge_address");
+  dir.replace_extension();
+  std::filesystem::create_directories(dir);
+  std::filesystem::copy_file(kernel_path("saxpy.k"), dir / "saxpy.k");
+  std::filesystem::copy_file(kernel_path("saxpy.args"), dir / "saxpy.args");
+  util::write_file(dir / "saxpy.x.dat", "@99999999999 1\n");
+  util::JsonValue reply = roundtrip("{\"cmd\": \"verify\", \"kernel\": \"" +
+                                    (dir / "saxpy.k").string() + "\"}");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("status").as_string(), "error");
+  EXPECT_EQ(reply.at("exit_code").as_u64(), 2u);
+  EXPECT_NE(reply.at("errors").as_string().find("the limit is"),
+            std::string::npos)
+      << reply.at("errors").as_string();
+  EXPECT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
+}
+
 TEST_F(ServeTest, WarmResubmissionHitsCacheWithIdenticalReport) {
   std::string submit = "{\"cmd\": \"verify\", \"kernel\": \"" +
                        kernel_path("saxpy.k").string() + "\"}";
@@ -343,6 +364,33 @@ TEST_F(ServeTest, ClientDisconnectMidResponseDoesNotKillTheDaemon) {
   ASSERT_TRUE(redo.at("ok").as_bool());
   EXPECT_EQ(redo.at("status").as_string(), "done");
   EXPECT_EQ(redo.at("exit_code").as_u64(), 0u);
+}
+
+TEST_F(ServeTest, OversizeRequestGetsErrorReplyAndDaemonKeepsAnswering) {
+  // One byte past the limit and no newline: the daemon must stop reading,
+  // reply with the "exceeds" error and keep serving.
+  const std::string oversize(Server::kMaxRequestBytes + 1, 'x');
+  int fd = raw_connect(server_->socket_path());
+  std::size_t sent = 0;
+  while (sent < oversize.size()) {
+    ssize_t n = ::send(fd, oversize.data() + sent, oversize.size() - sent,
+                       MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    sent += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char buffer[4096];
+  for (ssize_t n; (n = ::read(fd, buffer, sizeof(buffer))) > 0;) {
+    reply.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  util::JsonValue doc = util::parse_json(reply);
+  EXPECT_FALSE(doc.at("ok").as_bool());
+  EXPECT_EQ(doc.at("error").as_string(),
+            "request exceeds " +
+                std::to_string(Server::kMaxRequestBytes) + " bytes");
+  EXPECT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
 }
 
 TEST_F(ServeTest, SecondDaemonOnALiveSocketRefusesToStart) {

@@ -166,18 +166,7 @@ Cli parse_cli(int argc, char** argv) {
       cli.test.scalar_args[name] = fti::util::parse_i64(value);
     } else if (flag == "--mem") {
       auto [name, file] = split_kv(need_value(i), "--mem");
-      // Width-independent parse: values are masked when loaded into the
-      // actual image, so parse at full width here.
-      auto words = fti::mem::parse_mem_text(
-          fti::util::read_file(file), 64);
-      std::vector<std::uint64_t> values;
-      for (const auto& word : words) {
-        if (word.address >= values.size()) {
-          values.resize(word.address + 1, 0);
-        }
-        values[word.address] = word.value;
-      }
-      cli.test.inputs[name] = std::move(values);
+      cli.test.inputs[name] = fti::mem::load_mem_values(file);
     } else if (flag == "--rom") {
       cli.test.embed_inputs = true;
     } else if (flag == "--check") {

@@ -182,8 +182,9 @@ class NodeEmitter {
            "(" + values + signs + hex64(sim::Bits::mask(out_width)) + ")";
   }
 
-  /// Change-detected commit matching LevelizedSim::set_traced: events
-  /// count changes; traced slots also append to the host's trace ring.
+  /// Change-detected commit matching the sweep executor's clocked-wire
+  /// commit (elab/batched.cpp): events count changes; traced slots also
+  /// append to the host's trace ring.
   void emit_commit(const std::string& indent, std::size_t wire,
                    const std::string& expr) {
     std::string w = "w" + std::to_string(wire);

@@ -388,9 +388,8 @@ sim::EnginePartition CompiledEngine::run_partition(
     if (obs::enabled()) {
       obs::counter("compiled.fallbacks").inc();
     }
-    LevelizedEngine fallback;
-    return fallback.run_partition(design, node, pool, options,
-                                  partition_index);
+    return make_engine("levelized")->run_partition(design, node, pool,
+                                                   options, partition_index);
   }
   const ir::Configuration& config = design.configuration(node);
   ir::validate(config.datapath);

@@ -1,7 +1,7 @@
 // The one compiled form of a configuration's FSM, shared by every
-// interpreter: the event engine's FsmExecutor, levelized and batched.
+// interpreter: the event engine's FsmExecutor and the sweep executor.
 //
-// Kept apart from levelized.hpp so that fsm_exec.hpp can use it without
+// Kept apart from batched.hpp so that fsm_exec.hpp can use it without
 // pulling in the engine headers (which include the elaborator, which
 // includes fsm_exec.hpp).
 #pragma once

@@ -6,7 +6,6 @@
 
 #include "fti/elab/batched.hpp"
 #include "fti/elab/compiled.hpp"
-#include "fti/elab/levelized.hpp"
 #include "fti/obs/metrics.hpp"
 #include "fti/obs/trace.hpp"
 #include "fti/sim/probe.hpp"
@@ -135,12 +134,15 @@ void register_builtin_engines() {
   std::call_once(once, [] {
     sim::register_engine("event",
                          [] { return std::make_unique<EventEngine>(); });
-    sim::register_engine("naive",
-                         [] { return std::make_unique<NaiveEngine>(); });
-    sim::register_engine(
-        "levelized", [] { return std::make_unique<LevelizedEngine>(); });
-    sim::register_engine(
-        "batched", [] { return std::make_unique<BatchedEngine>(); });
+    // One sweep executor, three configurations (batched.hpp).
+    auto sweep = [](const char* name, Settle settle, bool lockstep_lanes) {
+      sim::register_engine(name, [=] {
+        return std::make_unique<SweepEngine>(name, settle, lockstep_lanes);
+      });
+    };
+    sweep("naive", Settle::kUntilStable, false);
+    sweep("levelized", Settle::kRankedPass, false);
+    sweep("batched", Settle::kRankedPass, true);
     sim::register_engine(
         "compiled", [] { return std::make_unique<CompiledEngine>(); });
   });

@@ -1,14 +1,12 @@
 // Built-in execution engines behind the sim::Engine interface.
 //
 // Every backend shares one RTG loop (PartitionedEngine):
-//  * EventEngine     -- the event-driven kernel (elaborate to a netlist of
-//                       components, calendar-queue scheduling).  The
-//                       paper's engine; the only one with net tracing.
-//  * LevelizedEngine -- statically scheduled compiled evaluation, and
-//    NaiveEngine        the conventional full-evaluation baseline (E3's
-//                       comparison point): one executor with two
-//                       combinational steps, see levelized.hpp.
-//  * BatchedEngine, CompiledEngine -- batched.hpp, compiled.hpp.
+//  * EventEngine -- the event-driven kernel (elaborate to a netlist of
+//    components, calendar-queue scheduling).  The paper's engine; the
+//    only one with net tracing.
+//  * SweepEngine -- the statically scheduled executor behind "levelized",
+//    "naive" and "batched" (batched.hpp).
+//  * CompiledEngine -- the levelized sweep as native code (compiled.hpp).
 //
 // The fuzzer's reference interpreter implements the same interface from
 // the fuzz layer (fuzz/reference.hpp).

@@ -1,4 +1,4 @@
-// Levelized compiled evaluation -- the classic alternative to event-driven
+// Levelized scheduling -- the classic alternative to event-driven
 // simulation for synchronous designs.  At elaboration time the
 // combinational units of a configuration are topologically sorted into
 // ranks; one clock cycle is then a single straight-line sweep over the
@@ -11,23 +11,16 @@
 // the kernel's delta-cycle limit, so a bad design fails before the first
 // cycle runs.
 //
-// The "naive" engine is the same executor -- dense wire indices, memory
-// binding, two-phase clock edge, pipeline rings, compiled FSM, coverage
-// -- with the conventional full-evaluation step in place of the ranked
-// pass: every cycle it sweeps every combinational unit in declaration
-// order, with change detection, until a sweep changes nothing, and
-// throws SimError after EngineRunOptions::max_sweeps sweeps (a
-// combinational loop).  It reports no wire data.
+// This header holds only the schedule and its memoization hook; the
+// executor that sweeps it is SweepEngine (batched.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "fti/elab/engines.hpp"
 #include "fti/ir/rtg.hpp"
 
 namespace fti::elab {
@@ -73,30 +66,9 @@ void set_schedule_provider(ScheduleProvider provider);
 
 /// The schedule for `design.configuration(node)`: from the installed
 /// provider when it has one, freshly built otherwise.  This is the one
-/// entry point the levelized and batched engines use, so installing a
-/// provider accelerates both.
+/// entry point the sweep and compiled engines use, so installing a
+/// provider accelerates all of them.
 SharedSchedule acquire_levelized_schedule(const ir::Design& design,
                                           const std::string& node);
-
-class LevelizedEngine final : public PartitionedEngine {
- public:
-  const std::string& name() const override;
-  bool reports_wire_data() const override { return true; }
-  sim::EnginePartition run_partition(const ir::Design& design,
-                                     const std::string& node,
-                                     mem::MemoryPool& pool,
-                                     const sim::EngineRunOptions& options,
-                                     std::size_t partition_index) override;
-};
-
-class NaiveEngine final : public PartitionedEngine {
- public:
-  const std::string& name() const override;
-  sim::EnginePartition run_partition(const ir::Design& design,
-                                     const std::string& node,
-                                     mem::MemoryPool& pool,
-                                     const sim::EngineRunOptions& options,
-                                     std::size_t partition_index) override;
-};
 
 }  // namespace fti::elab

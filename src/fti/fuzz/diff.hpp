@@ -7,10 +7,12 @@
 //                    is torn down),
 //  2. "reference" -- the fuzz reference interpreter (a structurally
 //                    independent cycle-level engine, see reference.hpp),
-//  3. "naive"     -- the full-evaluation baseline (the levelized
-//                    executor with a settle-until-stable sweep),
-//  4. "levelized" -- the statically scheduled compiled engine
-//                    (elab/levelized.hpp),
+//  3. "naive"     -- the full-evaluation baseline (the sweep executor
+//                    with a settle-until-stable step, elab/batched.hpp),
+//  4. "levelized" -- the same executor on the ranked schedule of
+//                    elab/levelized.hpp; "batched" at one lane is this
+//                    configuration under another name, so it is not a
+//                    default lane (check_lanes covers its N-lane layout),
 //  5. "roundtrip" -- the event kernel again on the design after an XML
 //                    serialisation round trip (to_xml -> to_string ->
 //                    parse -> design_from_xml), which drags the serde
@@ -46,8 +48,7 @@ struct DiffOptions {
   /// "reference" lane is special-cased to honour `reference` above (so
   /// injected operator bugs reach it); every other name goes through
   /// elab::make_engine.
-  std::vector<std::string> engines{"reference", "naive", "levelized",
-                                   "batched"};
+  std::vector<std::string> engines{"reference", "naive", "levelized"};
   /// Append a "compiled" lane when a host C++ toolchain is available and
   /// `engines` does not already name it.  Off in the shrinker (each
   /// mutated candidate has a fresh IR hash, so every iteration would pay

@@ -651,8 +651,8 @@ ObsCounters& counters() {
 }
 
 /// Abstract interpreter for one configuration: the exact structure of
-/// elab::LevelizedSim (levelized comb sweep, two-phase clock edge, Moore
-/// FSM) lifted to AbstractValue.
+/// the `levelized` configuration of elab's sweep executor (ranked comb
+/// sweep, two-phase clock edge, Moore FSM) lifted to AbstractValue.
 class ConfigAnalyzer {
  public:
   explicit ConfigAnalyzer(const ir::Configuration& config)

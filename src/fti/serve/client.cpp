@@ -38,6 +38,7 @@ std::string request(const std::filesystem::path& socket_path,
     payload += '\n';
   }
   std::size_t sent = 0;
+  int send_error = 0;
   while (sent < payload.size()) {
     // MSG_NOSIGNAL: a daemon that died mid-request surfaces as an EPIPE
     // error below instead of a SIGPIPE killing the client process.
@@ -47,10 +48,10 @@ std::string request(const std::filesystem::path& socket_path,
       if (errno == EINTR) {
         continue;
       }
-      int saved = errno;
-      ::close(fd);
-      throw util::Error("serve",
-                        "write(): " + std::string(std::strerror(saved)));
+      // A daemon at its connection cap replies "busy" and closes without
+      // reading, so a failed send may still have a reply waiting.
+      send_error = errno;
+      break;
     }
     sent += static_cast<std::size_t>(n);
   }
@@ -68,6 +69,10 @@ std::string request(const std::filesystem::path& socket_path,
     reply.append(buffer, static_cast<std::size_t>(n));
   }
   ::close(fd);
+  if (send_error != 0 && reply.empty()) {
+    throw util::Error("serve",
+                      "write(): " + std::string(std::strerror(send_error)));
+  }
   while (!reply.empty() && (reply.back() == '\n' || reply.back() == '\r')) {
     reply.pop_back();
   }

@@ -35,6 +35,7 @@
 #include <deque>
 #include <filesystem>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -87,6 +88,9 @@ class Server {
   /// Requests are one line each; a request longer than this is a
   /// protocol violation, not a real job, and gets an error reply.
   static constexpr std::size_t kMaxRequestBytes = 16u << 20;
+  /// Connection handlers alive at once.  A connection past this many
+  /// gets a "busy" error reply and is closed without a handler thread.
+  static constexpr std::size_t kMaxConnections = 64;
 
   explicit Server(ServerOptions options);
   ~Server();
@@ -113,6 +117,8 @@ class Server {
   cache::DesignCache& cache() { return cache_; }
   /// Jobs finished so far (done, error or cancelled); for tests.
   std::uint64_t finished_jobs() const;
+  /// Connection handler threads not yet joined; for tests.
+  std::size_t live_connections() const;
 
  private:
   void accept_loop();
@@ -130,8 +136,18 @@ class Server {
   std::unique_ptr<util::TaskQueue> queue_;
   int listen_fd_ = -1;
   std::thread accept_thread_;
-  std::mutex conns_mutex_;
-  std::vector<std::thread> conns_;
+  /// One connection's handler thread; `finished` is set as it returns.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
+  /// Joins and drops the handlers that have returned.  Needs
+  /// conns_mutex_ held.
+  void reap_connections();
+
+  mutable std::mutex conns_mutex_;
+  /// A list, so a handler's `finished` flag never moves.
+  std::list<Connection> conns_;
 
   mutable std::mutex mutex_;
   std::condition_variable jobs_cv_;

@@ -257,14 +257,14 @@ void Server::shutdown() {
     queue_->stop_and_join();
     queue_.reset();
   }
-  std::vector<std::thread> conns;
+  std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     conns.swap(conns_);
   }
-  for (std::thread& thread : conns) {
-    if (thread.joinable()) {
-      thread.join();
+  for (Connection& conn : conns) {
+    if (conn.thread.joinable()) {
+      conn.thread.join();
     }
   }
   if (!options_.socket_path.empty()) {
@@ -275,6 +275,22 @@ void Server::shutdown() {
 std::uint64_t Server::finished_jobs() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return finished_;
+}
+
+std::size_t Server::live_connections() const {
+  std::lock_guard<std::mutex> lock(conns_mutex_);
+  return conns_.size();
+}
+
+void Server::reap_connections() {
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->finished.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void Server::accept_loop() {
@@ -288,8 +304,20 @@ void Server::accept_loop() {
     if (fd < 0) {
       continue;
     }
+    // Finished handlers are joined here, before each new one starts, so
+    // a long-lived daemon holds threads only for live connections.
     std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns_.emplace_back([this, fd] { handle_connection(fd); });
+    reap_connections();
+    if (conns_.size() >= kMaxConnections) {
+      write_all(fd, error_reply("busy") + "\n");
+      ::close(fd);
+      continue;
+    }
+    Connection& conn = conns_.emplace_back();
+    conn.thread = std::thread([this, fd, &conn] {
+      handle_connection(fd);
+      conn.finished.store(true, std::memory_order_release);
+    });
   }
 }
 

@@ -221,6 +221,50 @@ TEST_P(EngineParity, AccumulatorRunMatchesEventEngine) {
   }
 }
 
+TEST_P(EngineParity, ResetAppliesWhileEnableIsLow) {
+  // The accumulator gets a synchronous reset to 7, asserted by a "clear"
+  // state with the enable low: the edge leaving "clear" must reset the
+  // register, whatever the enable says.
+  ir::Configuration config = fti::testing::make_accumulator(25);
+  config.datapath.wires.push_back({"c_rst", 1});
+  config.datapath.control_wires.push_back("c_rst");
+  for (ir::Unit& unit : config.datapath.units) {
+    if (unit.kind == ir::UnitKind::kRegister) {
+      unit.ports["rst"] = "c_rst";
+      unit.reset_value = 7;
+    }
+  }
+  config.fsm.states[0].transitions[0].target = "clear";
+  ir::State clear;
+  clear.name = "clear";
+  clear.controls = {{"c_rst", 1}};
+  clear.transitions.push_back({ir::parse_guard("1"), "halt"});
+  config.fsm.states.push_back(clear);
+  ir::Design design = ir::make_single_design("acc_reset", std::move(config));
+
+  std::unique_ptr<sim::Engine> backend = engine();
+  if (!backend->reports_wire_data()) {
+    GTEST_SKIP() << GetParam() << " reports no register values";
+  }
+  sim::EngineRunOptions options;
+  options.collect_wire_data = true;
+  options.max_cycles_per_partition = 1000;
+  std::deque<mem::MemoryPool> pools(3);
+  std::vector<mem::MemoryPool*> ptrs;
+  for (mem::MemoryPool& pool : pools) {
+    ptrs.push_back(&pool);
+  }
+  for (std::size_t lanes : {1u, 3u}) {
+    std::vector<mem::MemoryPool*> batch(ptrs.begin(), ptrs.begin() + lanes);
+    std::vector<sim::EngineResult> runs =
+        backend->run_batch(design, batch, options);
+    for (const sim::EngineResult& run : runs) {
+      ASSERT_TRUE(run.completed) << lanes << " lanes";
+      EXPECT_EQ(run.partitions[0].finals.at("acc_q"), 7u) << lanes << " lanes";
+    }
+  }
+}
+
 TEST_P(EngineParity, DoneAtExactBudgetIsDoneNotMaxTime) {
   ir::Design design = accumulator_design(25);
   mem::MemoryPool probe_pool;
@@ -333,10 +377,14 @@ TEST_P(EngineParity, CompiledKernelMemoriesMatchEventEngine) {
 
 // ---------------------------------------------------------------------------
 // Batched lanes: per-lane results must be byte-identical to independent
-// single-lane levelized runs.  The lane counts are chosen to stress the
-// bit-packed storage: 1 and 3 exercise a mostly-masked single word, 64 a
-// full word with no tail, 65 a one-bit tail word, 127 an almost-full
-// tail word.
+// runs of the event engine, which shares no scheduling or storage code
+// with the sweep executor (`levelized` is the executor's own one-lane
+// configuration, so it would check the layout against itself).  Per-lane kernel stats are
+// the sweep's own counts, which the event engine does not share, so those
+// are held to the one-lane `levelized` layout (hence the test names).
+// The lane counts are chosen to stress the bit-packed storage: 1 and 3
+// exercise a mostly-masked single word, 64 a full word with no tail, 65 a
+// one-bit tail word, 127 an almost-full tail word.
 
 class BatchedLaneParity : public ::testing::TestWithParam<std::size_t> {};
 
@@ -348,11 +396,16 @@ TEST_P(BatchedLaneParity, AccumulatorLanesMatchIndependentRun) {
   ir::Design design = accumulator_design(25);
   sim::EngineRunOptions options;
   options.collect_wire_data = true;
+  options.max_cycles_per_partition = 10'000;
 
-  mem::MemoryPool single_pool;
+  mem::MemoryPool event_pool;
   sim::EngineResult expected =
-      elab::make_engine("levelized")->run(design, single_pool, options);
+      elab::make_engine("event")->run(design, event_pool, options);
   ASSERT_TRUE(expected.completed);
+  mem::MemoryPool one_lane_pool;
+  sim::EngineResult one_lane =
+      elab::make_engine("levelized")->run(design, one_lane_pool, options);
+  ASSERT_TRUE(one_lane.completed);
 
   std::deque<mem::MemoryPool> pools(lanes);
   std::vector<mem::MemoryPool*> ptrs;
@@ -365,15 +418,16 @@ TEST_P(BatchedLaneParity, AccumulatorLanesMatchIndependentRun) {
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     const sim::EnginePartition& got = runs[lane].partitions.at(0);
     const sim::EnginePartition& want = expected.partitions.at(0);
+    const sim::EnginePartition& stats = one_lane.partitions.at(0);
     ASSERT_TRUE(runs[lane].completed) << "lane " << lane;
     EXPECT_EQ(got.cycles, want.cycles) << "lane " << lane;
     EXPECT_EQ(got.reason, want.reason) << "lane " << lane;
     EXPECT_EQ(got.finals, want.finals) << "lane " << lane;
     EXPECT_EQ(got.traces, want.traces) << "lane " << lane;
-    EXPECT_EQ(got.stats.events, want.stats.events) << "lane " << lane;
-    EXPECT_EQ(got.stats.evaluations, want.stats.evaluations)
+    EXPECT_EQ(got.stats.events, stats.stats.events) << "lane " << lane;
+    EXPECT_EQ(got.stats.evaluations, stats.stats.evaluations)
         << "lane " << lane;
-    EXPECT_EQ(got.stats.timesteps, want.stats.timesteps) << "lane " << lane;
+    EXPECT_EQ(got.stats.timesteps, stats.stats.timesteps) << "lane " << lane;
   }
 }
 
@@ -381,8 +435,9 @@ TEST_P(BatchedLaneParity, CompiledKernelDistinctLanesMatchLevelized) {
   // Each lane gets different SRAM contents, and the branchy kernel makes
   // per-lane work (and thus write traffic) data-dependent -- so lanes
   // diverge in what they store while staying in the same control
-  // lockstep.  Every lane must still match an independent levelized run
-  // from an identically primed pool.
+  // lockstep.  Every lane must still match an independent event-engine
+  // run from an identically primed pool, and count the events of a
+  // one-lane levelized run.
   const std::size_t lanes = GetParam();
   const char* source =
       "kernel k(short s[8], short t[8], int n) {\n"
@@ -411,11 +466,21 @@ TEST_P(BatchedLaneParity, CompiledKernelDistinctLanesMatchLevelized) {
 
   std::deque<mem::MemoryPool> ref_pools(lanes);
   std::vector<sim::EngineResult> ref_runs;
+  std::vector<std::uint64_t> one_lane_events;
+  std::unique_ptr<sim::Engine> event = elab::make_engine("event");
   std::unique_ptr<sim::Engine> levelized = elab::make_engine("levelized");
+  // A lane that never raises done fails the test instead of hanging it.
+  sim::EngineRunOptions options;
+  options.max_cycles_per_partition = 10'000;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     prime(ref_pools[lane], lane);
-    ref_runs.push_back(levelized->run(compiled.design, ref_pools[lane], {}));
+    ref_runs.push_back(event->run(compiled.design, ref_pools[lane], options));
     ASSERT_TRUE(ref_runs.back().completed) << "lane " << lane;
+    mem::MemoryPool one_lane_pool;
+    prime(one_lane_pool, lane);
+    one_lane_events.push_back(
+        levelized->run(compiled.design, one_lane_pool, options)
+            .total_events());
   }
 
   std::deque<mem::MemoryPool> pools(lanes);
@@ -425,11 +490,13 @@ TEST_P(BatchedLaneParity, CompiledKernelDistinctLanesMatchLevelized) {
     ptrs.push_back(&pools[lane]);
   }
   std::vector<sim::EngineResult> runs =
-      elab::make_engine("batched")->run_batch(compiled.design, ptrs, {});
+      elab::make_engine("batched")->run_batch(compiled.design, ptrs, options);
   ASSERT_EQ(runs.size(), lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     ASSERT_TRUE(runs[lane].completed) << "lane " << lane;
     EXPECT_EQ(runs[lane].total_cycles(), ref_runs[lane].total_cycles())
+        << "lane " << lane;
+    EXPECT_EQ(runs[lane].total_events(), one_lane_events[lane])
         << "lane " << lane;
     for (const std::string& array : ref_pools[lane].names()) {
       EXPECT_EQ(pools[lane].get(array).words(),
@@ -444,7 +511,8 @@ TEST_P(BatchedLaneParity, ControlDivergentLanesMatchLevelized) {
   // different FSM states, take different transitions (and so commit
   // different control deltas) and finish on different cycles.  The
   // multiplier is pipelined, so pipeline stages commit alongside.  Every
-  // observable of every lane must equal an independent levelized run.
+  // observable of every lane must equal an independent event-engine run,
+  // and its kernel stats the one-lane layout's.
   const std::size_t lanes = GetParam();
   const char* source =
       "kernel k(short s[8], short t[8], short n[1]) {\n"
@@ -481,12 +549,17 @@ TEST_P(BatchedLaneParity, ControlDivergentLanesMatchLevelized) {
 
   std::deque<mem::MemoryPool> ref_pools(lanes);
   std::vector<sim::EngineResult> ref_runs;
+  std::vector<sim::EngineResult> one_lane_runs;
+  std::unique_ptr<sim::Engine> event = elab::make_engine("event");
   std::unique_ptr<sim::Engine> levelized = elab::make_engine("levelized");
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     prime(ref_pools[lane], lane);
-    ref_runs.push_back(
-        levelized->run(compiled.design, ref_pools[lane], options));
+    ref_runs.push_back(event->run(compiled.design, ref_pools[lane], options));
     ASSERT_TRUE(ref_runs.back().completed) << "lane " << lane;
+    mem::MemoryPool one_lane_pool;
+    prime(one_lane_pool, lane);
+    one_lane_runs.push_back(
+        levelized->run(compiled.design, one_lane_pool, options));
   }
   if (lanes > 1) {
     ASSERT_NE(ref_runs[0].total_cycles(), ref_runs[1].total_cycles())
@@ -509,12 +582,14 @@ TEST_P(BatchedLaneParity, ControlDivergentLanesMatchLevelized) {
     for (std::size_t p = 0; p < runs[lane].partitions.size(); ++p) {
       const sim::EnginePartition& got = runs[lane].partitions[p];
       const sim::EnginePartition& want = ref_runs[lane].partitions[p];
+      const sim::EnginePartition& stats =
+          one_lane_runs[lane].partitions.at(p);
       EXPECT_EQ(got.cycles, want.cycles) << "lane " << lane;
       EXPECT_EQ(got.reason, want.reason) << "lane " << lane;
       EXPECT_EQ(got.finals, want.finals) << "lane " << lane;
       EXPECT_EQ(got.traces, want.traces) << "lane " << lane;
-      EXPECT_EQ(got.stats.events, want.stats.events) << "lane " << lane;
-      EXPECT_EQ(got.stats.evaluations, want.stats.evaluations)
+      EXPECT_EQ(got.stats.events, stats.stats.events) << "lane " << lane;
+      EXPECT_EQ(got.stats.evaluations, stats.stats.evaluations)
           << "lane " << lane;
       ASSERT_EQ(got.coverage.states.size(), want.coverage.states.size());
       for (std::size_t s = 0; s < got.coverage.states.size(); ++s) {
@@ -538,6 +613,50 @@ TEST_P(BatchedLaneParity, ControlDivergentLanesMatchLevelized) {
           << "lane " << lane << " array '" << array << "'";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The sweep executor's three configurations share one code path; their
+// errors must still name the configuration that ran.
+
+TEST(SweepEngineErrors, MessagesNameTheConfiguration) {
+  compiler::CompileOptions options;
+  options.scalar_args = {{"n", 4}};
+  ir::Design overrun =
+      compiler::compile_source(
+          "kernel k(short t[2], int n) {\n"
+          "  int i;\n"
+          "  for (i = 0; i < n; i = i + 1) {\n"
+          "    t[i] = i;\n"
+          "  }\n"
+          "}\n",
+          options)
+          .design;
+  auto error_of = [](const std::string& engine, const ir::Design& design) {
+    mem::MemoryPool pool;
+    try {
+      elab::make_engine(engine)->run(design, pool, {});
+    } catch (const util::SimError& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  for (const char* engine : {"levelized", "naive"}) {
+    std::string message = error_of(engine, overrun);
+    std::string prefix = "sim: " + std::string(engine) + ": sram '";
+    EXPECT_EQ(message.rfind(prefix, 0), 0u) << message;
+    EXPECT_NE(message.find("' write to address 2 beyond depth 2"),
+              std::string::npos)
+        << message;
+  }
+  std::string batched = error_of("batched", overrun);
+  EXPECT_EQ(batched.rfind("sim: batched: sram '", 0), 0u) << batched;
+  EXPECT_NE(batched.find("' lane 0 write to address 2 beyond depth 2"),
+            std::string::npos)
+      << batched;
+  std::string loop = error_of("naive", inverter_loop_design());
+  EXPECT_EQ(loop.rfind("sim: naive: combinational loop in datapath", 0), 0u)
+      << loop;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 // cache, job lifecycle (status/cancel) and clean shutdown.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <regex>
 #include <thread>
+#include <vector>
 
 #include "fti/serve/serve.hpp"
 #include "fti/util/error.hpp"
@@ -391,6 +394,76 @@ TEST_F(ServeTest, OversizeRequestGetsErrorReplyAndDaemonKeepsAnswering) {
             "request exceeds " +
                 std::to_string(Server::kMaxRequestBytes) + " bytes");
   EXPECT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool());
+}
+
+TEST_F(ServeTest, FinishedConnectionHandlersAreReaped) {
+  // Each connection gets a handler thread; the accept loop joins the
+  // finished ones before starting the next, so sequential clients never
+  // pile threads up however many requests the daemon serves.
+  for (int round = 0; round < 200; ++round) {
+    ASSERT_TRUE(roundtrip("{\"cmd\": \"ping\"}").at("ok").as_bool())
+        << "round " << round;
+  }
+  // Only handlers still returning when the last few connections were
+  // accepted may remain; without reaping this would be 200.
+  EXPECT_LE(server_->live_connections(), 8u);
+}
+
+TEST_F(ServeTest, ConnectionPastTheCapGetsBusyAndDaemonKeepsAnswering) {
+  // Hold kMaxConnections connections open, each with a handler blocked
+  // reading its request line.  They close on every exit path, because
+  // shutdown joins their handlers.
+  struct Held {
+    std::vector<int> fds;
+    void close_all() {
+      for (int fd : fds) {
+        ::close(fd);
+      }
+      fds.clear();
+    }
+    ~Held() { close_all(); }
+  } held;
+  for (std::size_t i = 0; i < Server::kMaxConnections; ++i) {
+    held.fds.push_back(raw_connect(server_->socket_path()));
+  }
+  for (int wait = 0; wait < 1000 && server_->live_connections() <
+                                         Server::kMaxConnections;
+       ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server_->live_connections(), Server::kMaxConnections);
+
+  // One more: refused with a reply, before it has sent anything.  The
+  // receive timeout turns a missing reply into a failure, not a hang.
+  int extra = raw_connect(server_->socket_path());
+  timeval timeout{10, 0};
+  ::setsockopt(extra, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::string reply;
+  char buffer[256];
+  for (ssize_t n; (n = ::read(extra, buffer, sizeof(buffer))) > 0;) {
+    reply.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(extra);
+  ASSERT_FALSE(reply.empty()) << "no reply past the cap";
+  util::JsonValue busy = util::parse_json(reply);
+  EXPECT_FALSE(busy.at("ok").as_bool());
+  EXPECT_EQ(busy.at("error").as_string(), "busy");
+  EXPECT_EQ(server_->live_connections(), Server::kMaxConnections);
+
+  // Hanging up frees the handlers; once they return, ping is served
+  // again (a ping that races the last handler's return may still be
+  // told "busy").
+  held.close_all();
+  bool answered = false;
+  for (int attempt = 0; attempt < 1000 && !answered; ++attempt) {
+    util::JsonValue pong = roundtrip("{\"cmd\": \"ping\"}");
+    answered = pong.at("ok").as_bool();
+    if (!answered) {
+      EXPECT_EQ(pong.at("error").as_string(), "busy");
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_TRUE(answered);
 }
 
 TEST_F(ServeTest, SecondDaemonOnALiveSocketRefusesToStart) {
